@@ -359,16 +359,14 @@ def run(argv) -> int:
         return 2
     try:
         payload, header, rows = _HANDLERS[args.subcommand](args)
+        text = emit_csv(header, rows) if args.format == "csv" else emit_json(payload)
     except UsageError as exc:
         sys.stderr.write(emit_json({"error": "UsageError", "message": str(exc)}))
         return 2
     except DirichletRkhsError as exc:
         sys.stderr.write(emit_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
-    if args.format == "csv":
-        sys.stdout.write(emit_csv(header, rows))
-    else:
-        sys.stdout.write(emit_json(payload))
+    sys.stdout.write(text)
     return 0
 
 

@@ -22,7 +22,8 @@ from .gram import gram_matrix, smallest_eigenvalue
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
                      kernel_norm, kernel_value, pseudohyperbolic_distance)
-from .zeta import EvalConfig, eval_weighted_zeta, eval_zeta, WeightedZetaParams
+from .zeta import (EvalConfig, WeightedZetaParams, _weight_term_derivs,
+                   eval_weighted_zeta, eval_zeta)
 
 _DEFAULT_CFG = EvalConfig()
 
@@ -288,22 +289,7 @@ def _surrogate_scan(alpha: float, sigma2: float, taus: np.ndarray,
         acc += np.exp(-1j * np.outer(taus, np.log(n))) @ coef.astype(np.complex128)
     # endpoint corrections g/2 - g'/12 + g'''/720 at x = m
     x = float(m)
-    lg = math.log(x + 1.0)
-    xp = x + 1.0
-    u = x ** (-s)
-    u1 = -s * u / x
-    u2 = s * (s + 1) * u / (x * x)
-    u3 = -s * (s + 1) * (s + 2) * u / (x ** 3)
-    mw = lg ** -alpha
-    m1 = -alpha * lg ** (-alpha - 1) / xp
-    m2 = (alpha * (alpha + 1) * lg ** (-alpha - 2)
-          + alpha * lg ** (-alpha - 1)) / (xp * xp)
-    m3 = -(alpha * (alpha + 1) * (alpha + 2) * lg ** (-alpha - 3)
-           + 3 * alpha * (alpha + 1) * lg ** (-alpha - 2)
-           + 2 * alpha * lg ** (-alpha - 1)) / (xp ** 3)
-    g = u * mw
-    g1 = u1 * mw + u * m1
-    g3 = u3 * mw + 3 * u2 * m1 + 3 * u1 * m2 + u * m3
+    g, g1, g3 = _weight_term_derivs(alpha, s, x)
     acc += 0.5 * g - g1 / 12.0 + g3 / 720.0
     # tail integral, asymptotic expansion of the incomplete gamma factor
     log_m = math.log(x)

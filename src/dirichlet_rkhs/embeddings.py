@@ -145,8 +145,7 @@ def halfstrip_embedding_ratio(f: DirichletPolynomial, theta: float,
     return _settle(total, norm2, raw_err, theta, float(alpha))
 
 
-def line_embedding_sharp_constant(degree: int, theta: float = 0.0,
-                                  max_sweeps: int = 60) -> float:
+def line_embedding_sharp_constant(degree: int, theta: float = 0.0) -> float:
     """Sharp window constant: sup of the line ratio over length-degree polynomials.
 
     Equals the largest eigenvalue of the Hermitian pair matrix
@@ -155,8 +154,6 @@ def line_embedding_sharp_constant(degree: int, theta: float = 0.0,
     this, not the sample maximum of a random corpus, is the quantity the
     window-independence statement pins down.
     """
-    from .gram import _jacobi_diagonalize
-
     if degree < 1:
         raise DomainError("degree must be at least 1")
     if degree > LINE_DEGREE_CAP:
@@ -166,8 +163,7 @@ def line_embedding_sharp_constant(degree: int, theta: float = 0.0,
     root = 1.0 / np.sqrt(n)
     m = np.outer(root, root) * _window_factor(lam[np.newaxis, :] - lam[:, np.newaxis], theta)
     m = 0.5 * (m + m.conj().T)  # symmetrize away mirror-pair rounding
-    diag, _ = _jacobi_diagonalize(m, max_sweeps)
-    return float(np.max(diag))
+    return float(np.linalg.eigvalsh(m)[-1])
 
 
 def _derivative_value(f: DirichletPolynomial, s: complex) -> complex:

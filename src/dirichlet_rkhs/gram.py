@@ -1,21 +1,19 @@
 """Normalized Gram matrices of kernel functions, with certified Hermitian
 eigen/solve primitives.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices:
-each off-diagonal entry is phased to a real 2x2 problem and annihilated by a
-plane rotation.  Quadratic convergence makes a few dozen sweeps ample at the
-supported sizes (n <= 512); every returned eigenvalue carries a residual
-certificate against the original matrix.  The linear solver is an unpivoted
-Cholesky factorization (valid for positive definite input) with iterative
-refinement and a residual check.
+Eigenvalues come from LAPACK's Hermitian eigensolver (numpy.linalg.eigh);
+every returned eigenvalue carries a residual certificate against the
+original matrix.  The linear solver is LAPACK's Cholesky factorization
+(scipy.linalg.cho_factor, valid for positive definite input) with a pivot
+floor, iterative refinement and a residual check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, IllConditionedError, SizeError
 from .spaces import PointSequence, SpaceId, kernel_norm, kernel_value
@@ -75,115 +73,41 @@ def gram_matrix(space: SpaceId, seq: PointSequence,
     return GramMatrix(g, space, seq)
 
 
-def _jacobi_diagonalize(a: np.ndarray, max_sweeps: int):
-    """Cyclic complex Jacobi; returns (diagonal, unitary V) with A = V D V^H."""
-    n = a.shape[0]
-    a = a.astype(np.complex128).copy()
-    v = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-    scale = max(np.linalg.norm(a), 1e-300)
-    for _ in range(max_sweeps):
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = float(np.linalg.norm(hollow))
-        if off <= 1e-14 * scale:
-            return a.real.diagonal().copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                if abs(b) <= 1e-18 * scale:
-                    continue
-                beta = abs(b)
-                phm = b.conjugate() / beta  # e^{-i phi}
-                d_pp = a[p, p].real
-                d_qq = a[q, q].real
-                theta = (d_qq - d_pp) / (2.0 * beta)
-                if theta >= 0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                # columns: U = diag(1, e^{-i phi}) @ [[c, sn], [-sn, c]]
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * phm * col_q
-                a[:, q] = sn * col_p + c * phm * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                php = phm.conjugate()
-                a[p, :] = c * row_p - sn * php * row_q
-                a[q, :] = sn * row_p + c * php * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vc_p = v[:, p].copy()
-                vc_q = v[:, q].copy()
-                v[:, p] = c * vc_p - sn * phm * vc_q
-                v[:, q] = sn * vc_p + c * phm * vc_q
-    raise ConvergenceError(f"Jacobi sweeps did not converge in {max_sweeps} passes")
-
-
-def smallest_eigenvalue(g: GramMatrix, max_sweeps: int = 60) -> float:
+def smallest_eigenvalue(g: GramMatrix) -> float:
     """Smallest eigenvalue of a Hermitian Gram matrix, residual-certified.
 
     The certificate checks ||G v - lambda v|| <= 1e-10 for the returned
     eigenpair against the original entries.
     """
-    diag, v = _jacobi_diagonalize(np.asarray(g.entries), max_sweeps)
-    idx = int(np.argmin(diag))
-    lam = float(diag[idx])
-    vec = v[:, idx]
-    resid = float(np.linalg.norm(g.entries @ vec - lam * vec))
-    if resid > 1e-10 * max(1.0, float(np.linalg.norm(np.asarray(g.entries)))):
+    a = np.asarray(g.entries)
+    diag, v = np.linalg.eigh(a)
+    lam = float(diag[0])
+    vec = v[:, 0]
+    resid = float(np.linalg.norm(a @ vec - lam * vec))
+    if resid > 1e-10 * max(1.0, float(np.linalg.norm(a))):
         raise ConvergenceError(
             f"eigen residual {resid:.3g} exceeds certificate threshold"
         )
     return lam
 
 
-def eigenvalues(g: GramMatrix, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues, ascending, via the same certified Jacobi pass."""
-    diag, v = _jacobi_diagonalize(np.asarray(g.entries), max_sweeps)
-    order = np.argsort(diag)
-    resid = float(np.linalg.norm(g.entries @ v - v * diag[None, :]))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(np.asarray(g.entries)))) * g.n:
+def eigenvalues(g: GramMatrix) -> np.ndarray:
+    """All eigenvalues, ascending, with a residual certificate on every pair."""
+    a = np.asarray(g.entries)
+    diag, v = np.linalg.eigh(a)
+    resid = float(np.linalg.norm(a @ v - v * diag[None, :]))
+    if resid > 1e-9 * max(1.0, float(np.linalg.norm(a))) * g.n:
         raise ConvergenceError(f"eigen residual {resid:.3g} too large")
-    return diag[order]
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^H = a; fails on pivots < 1e-12."""
-    n = a.shape[0]
-    low = np.zeros_like(a, dtype=np.complex128)
-    for j in range(n):
-        pivot = a[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
-        if pivot < 1e-12:
-            raise IllConditionedError(
-                f"Cholesky pivot {pivot:.3g} at index {j} below 1e-12"
-            )
-        ljj = math.sqrt(pivot)
-        low[j, j] = ljj
-        if j + 1 < n:
-            rhs = a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conjugate()
-            low[j + 1:, j] = rhs / ljj
-    return low
-
-
-def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = low.shape[0]
-    y = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.zeros(n, dtype=np.complex128)
-    lh = low.conjugate().T
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lh[i, i + 1:] @ x[i + 1:]) / lh[i, i]
-    return x
+    return diag
 
 
 def solve_hermitian_pd(g: GramMatrix, b) -> np.ndarray:
-    """Solve G c = b for positive definite G (Cholesky plus refinement)."""
+    """Solve G c = b for positive definite G (Cholesky plus refinement).
+
+    Raises IllConditionedError when the factorization fails or a squared
+    pivot falls below 1e-12, and when refinement cannot bring the residual
+    below 1e-10 * ||b||.
+    """
     a = np.asarray(g.entries)
     rhs = np.asarray(b, dtype=np.complex128)
     if rhs.shape != (g.n,):
@@ -191,13 +115,22 @@ def solve_hermitian_pd(g: GramMatrix, b) -> np.ndarray:
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return np.zeros(g.n, dtype=np.complex128)
-    low = _cholesky(a)
-    x = _cholesky_solve(low, rhs)
+    try:
+        factor = cho_factor(a, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"Cholesky factorization failed: {exc}") from None
+    pivots = np.diagonal(factor[0]).real ** 2
+    j = int(np.argmin(pivots))
+    if pivots[j] < 1e-12:
+        raise IllConditionedError(
+            f"Cholesky pivot {pivots[j]:.3g} at index {j} below 1e-12"
+        )
+    x = cho_solve(factor, rhs)
     for _ in range(4):
         r = rhs - a @ x
         if float(np.linalg.norm(r)) <= 1e-10 * b_norm:
             return x
-        x = x + _cholesky_solve(low, r)
+        x = x + cho_solve(factor, r)
     r = rhs - a @ x
     if float(np.linalg.norm(r)) > 1e-10 * b_norm:
         raise IllConditionedError(

@@ -8,6 +8,7 @@ lowercase exponent, so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -138,7 +139,8 @@ def load_complex_list(path: str) -> list[complex]:
     out = []
     for i, entry in enumerate(raw):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
-            raise DomainError(f"{path}: entry {i} is not an [re, im] number pair")
+                or not all(isinstance(v, (int, float)) and math.isfinite(v)
+                           for v in entry)):
+            raise DomainError(f"{path}: entry {i} is not a finite [re, im] number pair")
         out.append(complex(float(entry[0]), float(entry[1])))
     return out

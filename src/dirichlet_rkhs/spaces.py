@@ -45,12 +45,14 @@ _FAMILIES = (HARDY_DIRICHLET, WEIGHTED_DIRICHLET, HARDY_HALF_PLANE, BERGMAN_DIRI
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
-    """A point sigma + it with sigma > 1/2 strictly."""
+    """A finite point sigma + it with sigma > 1/2 strictly."""
 
     sigma: float
     t: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma) and math.isfinite(self.t)):
+            raise DomainError(f"point must be finite, got sigma={self.sigma}, t={self.t}")
         if not self.sigma > 0.5:
             raise DomainError(f"point needs sigma > 1/2, got sigma={self.sigma}")
 
@@ -64,7 +66,7 @@ class SpaceId:
     """Which kernel family, plus the weight exponent where one applies.
 
     HardyDirichlet is the exact alpha = 0 case and carries no alpha;
-    WeightedDirichlet and BergmanDirichletHalfPlane carry alpha <= 1
+    WeightedDirichlet and BergmanDirichletHalfPlane carry a finite alpha <= 1
     (nonzero for the Bergman/Dirichlet scale).
     """
 
@@ -80,8 +82,8 @@ class SpaceId:
         else:
             if self.alpha is None:
                 raise DomainError(f"{self.family} needs alpha")
-            if not self.alpha <= 1:
-                raise DomainError(f"alpha must be <= 1, got {self.alpha}")
+            if not (math.isfinite(self.alpha) and self.alpha <= 1):
+                raise DomainError(f"alpha must be finite and <= 1, got {self.alpha}")
             if self.family == BERGMAN_DIRICHLET and self.alpha == 0:
                 raise DomainError("BergmanDirichletHalfPlane needs alpha != 0")
 

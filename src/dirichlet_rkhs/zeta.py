@@ -110,14 +110,14 @@ def _em_truncation_bound(s: complex, n: int, order: int) -> float:
 
 def _choose_em_length(s: complex, cfg: EvalConfig, budget: float) -> int:
     n = max(16, int(abs(s.imag) / 3) + 1)
-    while _em_truncation_bound(s, n, cfg.em_order) > budget:
+    while n <= cfg.max_terms:
+        if _em_truncation_bound(s, n, cfg.em_order) <= budget:
+            return n
         n *= 2
-        if n > cfg.max_terms:
-            raise ConvergenceError(
-                f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
-                f"max_terms={cfg.max_terms} at s={s}"
-            )
-    return n
+    raise ConvergenceError(
+        f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
+        f"max_terms={cfg.max_terms} at s={s}"
+    )
 
 
 def _power_sum(s: complex, n_last: int) -> complex:
@@ -188,38 +188,13 @@ def eval_zeta_remainder(z: complex, cfg: EvalConfig = _DEFAULT_CFG) -> complex:
 # gamma and incomplete gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients (double-precision accurate on
-# the positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def eval_gamma(x: float) -> float:
-    """Gamma function for real x > 0 (Lanczos approximation)."""
+    """Gamma function for real x > 0, below the double-precision overflow."""
     if not x > 0:
         raise DomainError(f"eval_gamma needs x > 0, got {x}")
     if x > 171.6:
         raise DomainError(f"gamma({x}) overflows double precision")
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    power = (z + 0.5) * math.log(t)
-    if power - t < 709.0:
-        # fold the exponentials together once t**(z+0.5) alone would overflow
-        return math.sqrt(2.0 * math.pi) * math.exp(power - t) * acc
-    raise DomainError(f"gamma({x}) overflows double precision")
+    return math.gamma(x)
 
 
 def _lower_gamma_series(a: float, z: complex) -> complex:
@@ -312,9 +287,12 @@ def _weight_partial_sum(alpha: float, s: complex, n_excl: int) -> complex:
     return complex(np.sum(n ** (-complex(s)) * np.log(n + 1.0) ** (-alpha)))
 
 
-def _weight_term_derivs(alpha: float, s: complex, x: float):
-    """g, g', g''' for g(x) = x^-s log(x+1)^-alpha at real x."""
-    u = x ** complex(-s)
+def _weight_term_derivs(alpha: float, s, x: float):
+    """g, g', g''' for g(x) = x^-s log(x+1)^-alpha at real x.
+
+    s may be a complex scalar or a numpy array of them (elementwise).
+    """
+    u = x ** (-s)
     u1 = -s * u / x
     u2 = s * (s + 1) * u / (x * x)
     u3 = -s * (s + 1) * (s + 2) * u / (x * x * x)
@@ -398,14 +376,14 @@ def _shift_correction_integral(alpha: float, s: complex, n: int, tol: float) -> 
 def _choose_weighted_length(alpha: float, s: complex, cfg: EvalConfig, order: int,
                             budget: float) -> int:
     n = max(16, int(abs(s.imag) / 2) + 1)
-    while _weighted_trunc_bound(alpha, s, n, order) > budget:
+    while n <= cfg.max_terms:
+        if _weighted_trunc_bound(alpha, s, n, order) <= budget:
+            return n
         n *= 2
-        if n > cfg.max_terms:
-            raise ConvergenceError(
-                f"weighted tail cannot reach tol={cfg.tol} within "
-                f"max_terms={cfg.max_terms} at alpha={alpha}, s={s}"
-            )
-    return n
+    raise ConvergenceError(
+        f"weighted tail cannot reach tol={cfg.tol} within "
+        f"max_terms={cfg.max_terms} at alpha={alpha}, s={s}"
+    )
 
 
 def _weighted_regular_part(alpha: float, s: complex, cfg: EvalConfig):

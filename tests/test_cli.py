@@ -212,6 +212,27 @@ def test_asymptotics_alpha_cap(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("template", [
+    ["kernel", "--w", "1,inf", "--s", "1,0"],
+    ["kernel", "--w", "1,nan", "--s", "1,0"],
+    ["kernel", "--w", "1,1e300", "--s", "1,0"],
+    ["kernel", "--space", "h2", "--w", "1,inf", "--s", "1,0"],
+    ["kernel", "--space", "h2", "--w", "1,nan", "--s", "1,0"],
+    ["kernel", "--space", "d_alpha", "--alpha", "0.5", "--w", "1,inf", "--s", "1,0"],
+    ["probe", "--s", "0.75,0", "--target", "nan", "--t-max", "2"],
+    ["probe", "--s", "0.75,0", "--target", "0.5", "--t-max", "nan"],
+    ["embedding", "--coeffs", "{fix}/poly_small.json", "--theta", "inf"],
+])
+def test_non_finite_input_is_refused(template, fixtures_dir, capsys):
+    # certify or refuse: an error exit, nothing on stdout, one error object
+    rc = run(_argv(template, fixtures_dir))
+    captured = capsys.readouterr()
+    assert rc in (1, 2)
+    assert captured.out == ""
+    obj = json.loads(captured.err)
+    assert isinstance(obj, dict) and "error" in obj and "message" in obj
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("DIRICHLET_RKHS_THREADS", "3")
     assert worker_count() == 3

@@ -130,6 +130,15 @@ def test_sharp_constant_window_invariance():
         assert abs(line_embedding_sharp_constant(30, theta) - base) < 1e-12
 
 
+def test_sharp_constant_large_degree():
+    # theta-invariant at degree 1000, and nondecreasing in the degree:
+    # each M_d is a leading principal submatrix of the larger one, so the
+    # top eigenvalue can only grow (Cauchy interlacing)
+    top = line_embedding_sharp_constant(1000, 0.0)
+    assert abs(line_embedding_sharp_constant(1000, 100.0) - top) <= 1e-12 * top
+    assert line_embedding_sharp_constant(100) <= line_embedding_sharp_constant(500) <= top
+
+
 def test_sharp_constant_dominates_samples():
     cap = line_embedding_sharp_constant(12)
     for f in random_polynomial_corpus(10, 12, 3):

@@ -1,4 +1,4 @@
-"""Gram assembly, Jacobi eigenvalues, and the positive definite solver."""
+"""Gram assembly, certified Hermitian eigenvalues, and the positive definite solver."""
 
 import numpy as np
 import pytest

@@ -103,3 +103,7 @@ def test_load_complex_list(fixtures_dir, tmp_path):
     p.write_text('[[1.0, "y"]]')
     with pytest.raises(DomainError):
         load_complex_list(p)
+    for bad in ('[[NaN, 0]]', '[[1.0, Infinity]]', '[[-Infinity, 0]]'):
+        p.write_text(bad)
+        with pytest.raises(DomainError):
+            load_complex_list(p)

@@ -33,6 +33,9 @@ def _random_point(rng, lo=0.6, hi=3.0, tmax=5.0) -> HalfPlanePoint:
 def test_point_validation():
     with pytest.raises(DomainError):
         HalfPlanePoint(0.5, 0.0)
+    for sigma, t in ((math.inf, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            HalfPlanePoint(sigma, t)
     p = HalfPlanePoint(0.75, -2.0)
     assert p.as_complex == complex(0.75, -2.0)
 
@@ -40,6 +43,11 @@ def test_point_validation():
 def test_space_validation():
     with pytest.raises(DomainError):
         SpaceId(WEIGHTED_DIRICHLET, 1.5)
+    for alpha in (-math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SpaceId(WEIGHTED_DIRICHLET, alpha)
+        with pytest.raises(DomainError):
+            SpaceId(BERGMAN_DIRICHLET, alpha)
     with pytest.raises(DomainError):
         SpaceId(BERGMAN_DIRICHLET, 0.0)
     with pytest.raises(DomainError):
