@@ -41,6 +41,13 @@ class UsageError(Exception):
     """Bad flag value or unreadable input file; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _config(args) -> EvalConfig:
     return EvalConfig(tol=args.tol, max_terms=args.max_terms)
 
@@ -205,7 +212,15 @@ def _cmd_embedding(args):
         except DomainError as exc:
             raise UsageError(str(exc)) from None
     else:
+        if args.corpus_count < 1:
+            raise UsageError("--corpus-count must be at least 1")
         polys = random_polynomial_corpus(args.corpus_count, args.max_degree, args.seed)
+        if args.alpha is not None and args.alpha < 0.0:
+            # the alpha < 0 half-strip weight is integrable only when a_1 = 0
+            if args.max_degree < 2:
+                raise UsageError("--alpha < 0 sets a_1 = 0, so --max-degree "
+                                 "must be at least 2")
+            polys = [DirichletPolynomial((0j,) + f.coeffs[1:]) for f in polys]
     results = map_ordered(lambda f: _embedding_one(f, args.theta, args.alpha), polys)
     rows = [[args.theta, args.alpha, f.degree, r.ratio]
             for f, r in zip(polys, results)]
@@ -268,7 +283,7 @@ def _add_common(sub, space: bool = True) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dirichlet-rkhs",
         description="Reproducing-kernel computations for Hilbert spaces of "
                     "Dirichlet series: kernels, Gram spectra, interpolation, "
@@ -327,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, space=False)
     p.add_argument("--theta", type=float, default=0.0, help="window anchor")
     p.add_argument("--alpha", type=float, default=None,
-                   help="half-strip weight; omit for the critical-line window")
+                   help="half-strip weight; omit for the critical-line window "
+                        "(alpha < 0 sets a_1 = 0 in every corpus polynomial)")
     p.add_argument("--coeffs", default=None,
                    help="JSON file of [re, im] coefficient pairs (single polynomial)")
     p.add_argument("--corpus-count", type=int, default=None, dest="corpus_count",
@@ -352,10 +368,12 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
+        if args.subcommand is None:
+            raise UsageError(parser.format_usage().strip())
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
+    except UsageError as exc:
+        sys.stderr.write(emit_json({"error": "UsageError", "message": str(exc)}))
         return 2
     try:
         payload, header, rows = _HANDLERS[args.subcommand](args)

@@ -273,20 +273,75 @@ def space_equivalence_report(seq: PointSequence, alpha: Optional[float] = None,
 # ---------------------------------------------------------------------------
 
 
+# Gaussian gridding for the probe scan: the grid is oversampled twice and
+# every term spreads onto its 2 * _NUFFT_HALF_WIDTH nearest grid nodes.
+_NUFFT_OVERSAMPLE = 2
+_NUFFT_HALF_WIDTH = 12
+# (2 + 2.02 sqrt(pi / u)) e^(-u/2) = 3.04e-11 at u = 16 pi, rounded up;
+# see _surrogate_scan
+_NUFFT_GRID_ERR = 3.2e-11
+
+
+def _shift_sum(coef: np.ndarray, log_n: np.ndarray,
+               taus: np.ndarray) -> np.ndarray:
+    """sum_n coef_n e^(-i tau_k log n) on a uniform grid taus, by Gaussian
+    gridding; the method and its error bound are in _surrogate_scan."""
+    k_count = len(taus)
+    c = k_count // 2
+    h = (taus[-1] - taus[0]) / (k_count - 1) if k_count > 1 else 0.0
+    b = coef * np.exp(-1j * taus[c] * log_n)
+    size = _NUFFT_OVERSAMPLE * k_count
+    dx = 2.0 * math.pi / size
+    beta = (math.pi * _NUFFT_HALF_WIDTH * _NUFFT_OVERSAMPLE
+            / ((_NUFFT_OVERSAMPLE - 0.5) * size ** 2))
+    x = np.mod(h * log_n, 2.0 * math.pi)
+    nodes = (np.floor(x / dx)[:, np.newaxis]
+             + np.arange(1 - _NUFFT_HALF_WIDTH, _NUFFT_HALF_WIDTH + 1))
+    spread = np.exp(-(x[:, np.newaxis] - nodes * dx) ** 2 / (4.0 * beta)) * b[:, np.newaxis]
+    idx = nodes.astype(np.intp).ravel() % size
+    grid = (np.bincount(idx, spread.real.ravel(), size)
+            + 1j * np.bincount(idx, spread.imag.ravel(), size))
+    j = np.arange(k_count) - c
+    return np.fft.fft(grid)[j] * (math.sqrt(math.pi / beta) / size
+                                  * np.exp(j ** 2 * beta))
+
+
 def _surrogate_scan(alpha: float, sigma2: float, taus: np.ndarray,
                     m: int) -> np.ndarray:
-    """|sum of the kernel diagonal series at sigma2 + i tau|, vectorized.
+    """|sum of the kernel diagonal series at sigma2 + i tau| on a uniform
+    grid of K shifts tau_k = tau_c + (k - c) h, c = K // 2.
 
     Truncated sum over n <= m plus endpoint derivative corrections and a
     four-term asymptotic tail; absolute accuracy a few parts in 1e4 over
     the probe window, ample for candidate detection under the margin.
+
+    The truncated sum S(tau_k) = sum_{n<=m} c_n e^(-i tau_k log n) with
+    c_n = n^-sigma2 log(n+1)^-alpha is a type-1 nonuniform FFT, evaluated
+    by Gaussian gridding (Greengard & Lee, SIAM Rev. 46 (2004)).  With
+    b_n = c_n e^(-i tau_c log n) and x_n = h log n mod 2 pi,
+    S(tau_k) = sum_n b_n e^(-i j x_n) at j = k - c.  The b_n are spread
+    onto M = 2K nodes with the 2 pi-periodic Gaussian of variance 2 beta,
+    beta = u / M^2 and u = 16 pi, truncated to 12 nodes on either side;
+    one FFT and a division by the Gaussian's Fourier coefficients
+    sqrt(beta / pi) e^(-j^2 beta) finish it.  For |j| <= M / 4 the
+    aliasing adds at most 2 e^(-u/2) sum |c_n| and the truncation at most
+    2.02 sqrt(pi / u) e^(-u/2) sum |c_n|, so in exact arithmetic
+
+        |S_fast(tau_k) - S(tau_k)| <= _NUFFT_GRID_ERR * sum_{n<=m} |c_n|
+
+    with _NUFFT_GRID_ERR = 3.2e-11.  In floating point this sum and a
+    dense one both round the phases tau log n, which adds, to first
+    order in eps, at most 8 eps (1 + max |tau|) log m * sum |c_n| to
+    their difference.  Up to the probe's cap (tau <= 1e5, m <= 5e4) the
+    bound stays below 2e-9 sum |c_n| <= 2e-9 z0, since every c_n > 0
+    and z0 is the full series at tau = 0: far under the 4e-3 z0
+    candidate margin.  The cost is O(m + K log K) per call instead of
+    O(m K) for the dense product.
     """
+    n = np.arange(1, m + 1, dtype=np.float64)
+    coef = n ** (-sigma2) * np.log(n + 1.0) ** (-alpha)
+    acc = _shift_sum(coef, np.log(n), taus)
     s = sigma2 + 1j * taus
-    acc = np.zeros(len(taus), dtype=np.complex128)
-    for lo in range(1, m + 1, 512):
-        n = np.arange(lo, min(lo + 512, m + 1), dtype=np.float64)
-        coef = n ** (-sigma2) * np.log(n + 1.0) ** (-alpha)
-        acc += np.exp(-1j * np.outer(taus, np.log(n))) @ coef.astype(np.complex128)
     # endpoint corrections g/2 - g'/12 + g'''/720 at x = m
     x = float(m)
     g, g1, g3 = _weight_term_derivs(alpha, s, x)
@@ -318,6 +373,9 @@ def almost_periodicity_probe(space: SpaceId, s: HalfPlanePoint, t_max: float,
         alpha = space.alpha
     else:
         raise DomainError("probe supports the Dirichlet-series spaces only")
+    if not (math.isfinite(t_max) and math.isfinite(target_corr)):
+        raise DomainError(f"probe needs a finite t_max and target, got "
+                          f"t_max={t_max}, target={target_corr}")
     if t_max > 1e5:
         raise DomainError(f"probe window caps at 1e5, got {t_max}")
     sigma2 = 2.0 * s.sigma

@@ -109,6 +109,8 @@ def _em_truncation_bound(s: complex, n: int, order: int) -> float:
 
 
 def _choose_em_length(s: complex, cfg: EvalConfig, budget: float) -> int:
+    if not cmath.isfinite(s):
+        raise DomainError(f"series length needs a finite s, got {s}")
     n = max(16, int(abs(s.imag) / 3) + 1)
     while n <= cfg.max_terms:
         if _em_truncation_bound(s, n, cfg.em_order) <= budget:
@@ -194,7 +196,10 @@ def eval_gamma(x: float) -> float:
         raise DomainError(f"eval_gamma needs x > 0, got {x}")
     if x > 171.6:
         raise DomainError(f"gamma({x}) overflows double precision")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:  # x below about 5.6e-309, where gamma(x) ~ 1/x
+        raise DomainError(f"gamma({x}) overflows double precision") from None
 
 
 def _lower_gamma_series(a: float, z: complex) -> complex:
@@ -375,6 +380,8 @@ def _shift_correction_integral(alpha: float, s: complex, n: int, tol: float) -> 
 
 def _choose_weighted_length(alpha: float, s: complex, cfg: EvalConfig, order: int,
                             budget: float) -> int:
+    if not cmath.isfinite(s):
+        raise DomainError(f"series length needs a finite s, got {s}")
     n = max(16, int(abs(s.imag) / 2) + 1)
     while n <= cfg.max_terms:
         if _weighted_trunc_bound(alpha, s, n, order) <= budget:

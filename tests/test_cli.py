@@ -1,6 +1,10 @@
 """Command-line behavior: golden outputs, exit codes, error objects."""
 
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -8,12 +12,16 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirichlet_rkhs
 import dirichlet_rkhs.__main__
 from dirichlet_rkhs.cli import main, run
+from dirichlet_rkhs.embeddings import halfstrip_embedding_ratio, random_polynomial_corpus
 from dirichlet_rkhs.errors import DomainError
 from dirichlet_rkhs.parallel import map_ordered, worker_count
+from dirichlet_rkhs.spaces import DirichletPolynomial
 
 # name -> argv; paths are filled in from the fixtures directory at run time
 GOLDEN_CASES = {
@@ -166,6 +174,25 @@ def test_embedding_source_flags(fixtures_dir, capsys):
     capsys.readouterr()
 
 
+def test_embedding_corpus_negative_alpha(capsys):
+    # alpha < 0 needs a_1 = 0; the corpus path sets it
+    rc = run(["embedding", "--corpus-count", "4", "--max-degree", "12",
+              "--seed", "7", "--alpha", "-0.5", "--theta", "2"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    ratios = json.loads(captured.out)["ratios"]
+    polys = random_polynomial_corpus(4, 12, 7)
+    assert len(ratios) == len(polys)
+    for ratio, f in zip(ratios, polys):
+        g = DirichletPolynomial((0j,) + f.coeffs[1:])
+        assert ratio == halfstrip_embedding_ratio(g, 2.0, -0.5).ratio
+    assert run(["embedding", "--corpus-count", "2", "--max-degree", "1",
+                "--alpha", "-0.5"]) == 2
+    assert _stderr_error(capsys)["error"] == "UsageError"
+    assert run(["embedding", "--corpus-count", "0"]) == 2
+    assert _stderr_error(capsys)["error"] == "UsageError"
+
+
 def test_blaschke_method_needs_hardy_space(fixtures_dir, capsys):
     rc = run(["interpolate", "--space", "h2", "--method", "blaschke",
               "--nodes", f"{fixtures_dir}/nodes_small.json",
@@ -251,3 +278,89 @@ def test_map_ordered_preserves_order(monkeypatch):
     assert map_ordered(lambda x: x * x, items) == [x * x for x in items]
     monkeypatch.setenv("DIRICHLET_RKHS_THREADS", "4")
     assert map_ordered(lambda x: -x, items) == [-x for x in items]
+
+
+# argv fuzzing: every subcommand with well-formed flags, values drawn from
+# bounded ranges (heights and --t-max at most 1e3) and now and then a
+# non-finite value or a flag that does not fit; values are passed as
+# --flag=value so that negative numbers stay values
+FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _one_in_ten(rare, common):
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+def _num(lo, hi):
+    return _one_in_ten(_NON_FINITE, st.floats(lo, hi)).map(repr)
+
+
+_HEIGHT = _num(-1e3, 1e3)
+_POINT = st.builds("{},{}".format, _num(0.3, 4.0), _HEIGHT)
+_ALPHA = st.one_of(_num(-2.0, 1.5), st.sampled_from(["-1", "-0.5", "0", "0.5", "1"]))
+
+
+@st.composite
+def _cli_argv(draw):
+    sub = draw(st.sampled_from(["kernel", "gram", "diagnose", "interpolate",
+                                "blaschke", "asymptotics", "embedding", "probe"]))
+    flags = {"format": draw(st.sampled_from(["json", "csv"]))}
+    if sub not in ("blaschke", "asymptotics", "embedding"):
+        flags["space"] = draw(st.sampled_from(["h", "h_alpha", "h2", "d_alpha"]))
+        needs_alpha = flags["space"] in ("h_alpha", "d_alpha")
+        if draw(_one_in_ten(st.just(not needs_alpha), st.just(needs_alpha))):
+            flags["alpha"] = draw(_ALPHA)
+    points = st.sampled_from(["geometric", "nodes_small", "equidistributed"])
+    if sub == "kernel":
+        flags.update(w=draw(_POINT), s=draw(_POINT))
+    elif sub in ("gram", "diagnose"):
+        flags["points"] = f"{FIXTURES_DIR}/{draw(points)}.json"
+        if sub == "diagnose":
+            flags.update({"delta-min": draw(_num(-0.5, 1.0)),
+                          "carleson-max": draw(_num(-1.0, 20.0))})
+    elif sub == "interpolate":
+        flags.update(nodes=f"{FIXTURES_DIR}/nodes_small.json",
+                     targets=f"{FIXTURES_DIR}/targets_small.json",
+                     method=draw(st.sampled_from(["minnorm", "blaschke"])))
+    elif sub == "blaschke":
+        flags["nodes"] = f"{FIXTURES_DIR}/nodes_small.json"
+        if draw(st.booleans()):
+            flags["eval"] = draw(_POINT)
+    elif sub == "asymptotics":
+        flags.update(alpha=draw(_num(-2.0, 1.5)), kmax=str(draw(st.integers(-1, 6))))
+    elif sub == "embedding":
+        flags["theta"] = draw(_HEIGHT)
+        if draw(st.booleans()):
+            flags["alpha"] = draw(_ALPHA)
+        if draw(st.booleans()):
+            flags["coeffs"] = f"{FIXTURES_DIR}/poly_small.json"
+        else:
+            flags.update({"corpus-count": str(draw(st.integers(0, 4))),
+                          "max-degree": str(draw(st.integers(0, 24))),
+                          "seed": str(draw(st.integers(0, 99)))})
+    elif sub == "probe":
+        flags.update({"s": draw(_POINT), "target": draw(_num(-0.5, 1.5)),
+                      "t-max": draw(_num(-10.0, 1e3))})
+    return [sub] + [f"--{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_argv())
+def test_cli_run_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    if rc == 0:
+        assert err == "", (argv, err)
+        if "--format=json" in argv:
+            assert isinstance(json.loads(out), dict), argv
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows and all(len(r) == len(rows[0]) for r in rows), argv
+    else:
+        assert out == "", (argv, out)
+        obj = json.loads(err)
+        assert isinstance(obj, dict) and set(obj) == {"error", "message"}, (argv, err)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_rkhs.diagnostics import (almost_periodicity_probe, blaschke_sum,
+from dirichlet_rkhs.diagnostics import (_NUFFT_GRID_ERR, _shift_sum,
+                                        almost_periodicity_probe, blaschke_sum,
                                         boas_bound, carleson_boxes,
                                         carleson_intensity, gershgorin_split,
                                         intensity_over_boxes, merging_family,
@@ -20,7 +21,7 @@ from dirichlet_rkhs.spaces import (HARDY_DIRICHLET, HARDY_HALF_PLANE,
                                    WEIGHTED_DIRICHLET, HalfPlanePoint,
                                    PointSequence, SpaceId,
                                    pseudohyperbolic_distance)
-from dirichlet_rkhs.zeta import eval_zeta
+from dirichlet_rkhs.zeta import WeightedZetaParams, eval_weighted_zeta, eval_zeta
 
 H = SpaceId(HARDY_DIRICHLET)
 H2 = SpaceId(HARDY_HALF_PLANE)
@@ -247,3 +248,48 @@ def test_probe_rejections():
         almost_periodicity_probe(H2, s, 100.0, 0.8)
     with pytest.raises(DomainError):
         almost_periodicity_probe(H, s, 2e5, 0.8)
+    # non-finite input is refused, not reported as a miss
+    with pytest.raises(DomainError):
+        almost_periodicity_probe(H, s, math.nan, 0.8)
+    with pytest.raises(DomainError):
+        almost_periodicity_probe(H, s, 100.0, math.nan)
+    with pytest.raises(DomainError, match="finite"):
+        almost_periodicity_probe(H, s, math.inf, 0.8)
+
+
+def _dense_shift_sums(coefs, taus, m):
+    """Dense reference: e^(-i outer(taus, log n)) in blocks of 512 terms,
+    applied to every row of coefs at once."""
+    acc = np.zeros((len(taus), len(coefs)), dtype=np.complex128)
+    for lo in range(1, m + 1, 512):
+        n = np.arange(lo, min(lo + 512, m + 1), dtype=np.float64)
+        acc += np.exp(-1j * np.outer(taus, np.log(n))) @ coefs[:, lo - 1:lo - 1 + len(n)].T
+    return acc
+
+
+@pytest.mark.parametrize("tau_lo,m,shifts", [
+    (1.0, 2000, 4096), (2400.0, 2000, 4096), (9000.0, 5000, 4096),
+    (2400.0, 2000, 1), (9000.0, 5000, 7),
+])
+def test_surrogate_scan_matches_dense_sum(tau_lo, m, shifts):
+    # one chunk of the probe's grid, including short final chunks
+    step = 2.0 * math.pi / (20.0 * math.log(m))
+    taus = tau_lo + step * (1 + np.arange(shifts))
+    n = np.arange(1, m + 1, dtype=np.float64)
+    cases = [(a, s2) for a in (0.0, 0.5, -1.0) for s2 in (1.2, 1.5, 2.0)]
+    coefs = np.array([n ** (-s2) * np.log(n + 1.0) ** (-a) for a, s2 in cases])
+    dense = _dense_shift_sums(coefs, taus, m)
+    eps = np.finfo(np.float64).eps
+    for col, (alpha, sigma2) in enumerate(cases):
+        fast = _shift_sum(coefs[col], np.log(n), taus)
+        # the bound stated in the _surrogate_scan docstring
+        bound = ((_NUFFT_GRID_ERR + 8.0 * eps * (1.0 + np.max(np.abs(taus))) * math.log(m))
+                 * np.sum(np.abs(coefs[col])))
+        gap = np.max(np.abs(fast - dense[:, col]))
+        assert gap <= bound, f"alpha={alpha}, sigma2={sigma2}: gap {gap:.2e} > {bound:.2e}"
+        if alpha == 0.0:
+            z0 = abs(eval_zeta(sigma2))
+        else:
+            z0 = abs(eval_weighted_zeta(WeightedZetaParams(alpha), sigma2))
+        # far below the probe's 4e-3 candidate margin
+        assert bound <= 1e-6 * 4e-3 * z0

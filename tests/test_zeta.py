@@ -106,6 +106,8 @@ def test_gamma_against_math_library():
         eval_gamma(-1.0)
     with pytest.raises(DomainError):
         eval_gamma(172.0)
+    with pytest.raises(DomainError):
+        eval_gamma(1e-310)  # gamma(x) ~ 1/x overflows
 
 
 def test_upper_gamma_against_scipy():
@@ -159,6 +161,15 @@ def test_weighted_rejects_bad_domain():
         WeightedZetaParams(1.5)
     with pytest.raises(DomainError):
         eval_weighted_zeta(WeightedZetaParams(-1.0), 0.9)
+
+
+@pytest.mark.parametrize("height", [math.inf, math.nan])
+def test_non_finite_height_is_domain_error(height):
+    # refused before the series length is derived from |Im s|
+    with pytest.raises(DomainError):
+        eval_zeta(complex(2.0, height))
+    with pytest.raises(DomainError):
+        eval_weighted_zeta(WeightedZetaParams(0.5), complex(2.0, height))
 
 
 @given(st.floats(1.1, 4.0), st.floats(-20.0, 20.0),
