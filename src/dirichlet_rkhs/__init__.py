@@ -25,8 +25,8 @@ from .interpolation import (DirichletBlaschke, Interpolant, build_blaschke,
                             min_norm_interpolant, select_primes)
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, DirichletPolynomial, HalfPlanePoint,
-                     PointSequence, SpaceId, kernel_norm, kernel_value,
-                     pseudohyperbolic_distance)
+                     PointSequence, SpaceId, kernel_matrix, kernel_norm,
+                     kernel_value, pseudohyperbolic_distance)
 from .zeta import (EvalConfig, WeightedZetaParams, eval_gamma, eval_upper_gamma,
                    eval_weighted_remainder, eval_weighted_zeta, eval_zeta,
                    eval_zeta_remainder)
@@ -44,7 +44,7 @@ __all__ = [
     "eval_weighted_remainder", "eval_weighted_zeta", "eval_zeta",
     "eval_zeta_remainder", "expand_dirichlet", "finite_interpolant",
     "gershgorin_split", "gram_matrix", "halfstrip_embedding_quadrature",
-    "halfstrip_embedding_ratio", "kernel_norm", "kernel_value",
+    "halfstrip_embedding_ratio", "kernel_matrix", "kernel_norm", "kernel_value",
     "line_embedding_quadrature", "line_embedding_ratio",
     "line_embedding_sharp_constant", "merging_family", "min_norm_interpolant",
     "pseudohyperbolic_distance", "random_polynomial_corpus", "select_primes",

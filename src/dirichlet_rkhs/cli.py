@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .diagnostics import (almost_periodicity_probe, boas_bound, shapiro_shields_test,
@@ -41,8 +42,21 @@ class UsageError(Exception):
     """Bad flag value or unreadable input file; maps to exit code 2."""
 
 
+# A flag value that argparse should take as a value although it starts with
+# "-": a number in any float() spelling (exponent forms, inf, nan), alone or
+# as the first half of an re,im pair.  argparse's own pattern knows only
+# -123 and -1.5, so "--target -1e-05" or "--s -inf,0" read as options.
+_NUMBER = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_VALUE = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})?$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError where argparse would print usage text and exit."""
+    """Raises UsageError where argparse would print usage text and exit, and
+    reads negative numbers in every float() spelling as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

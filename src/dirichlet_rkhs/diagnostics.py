@@ -21,7 +21,7 @@ from .errors import DomainError, SizeError
 from .gram import gram_matrix, smallest_eigenvalue
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
-                     kernel_norm, kernel_value, pseudohyperbolic_distance)
+                     kernel_matrix, kernel_norm, pseudohyperbolic_distance)
 from .zeta import (EvalConfig, WeightedZetaParams, _weight_term_derivs,
                    eval_weighted_zeta, eval_zeta)
 
@@ -185,28 +185,28 @@ def gershgorin_split(space: SpaceId, seq: PointSequence, m_target: float,
     for a, b in zip(pts, pts[1:]):
         if abs(a.sigma - b.sigma) <= 1e-12:
             raise DomainError("splitting requires strictly distinct sigma values")
-    norms = {p: kernel_norm(space, p, cfg) for p in pts}
+    norms = [kernel_norm(space, p, cfg) for p in pts]
+    kmat = kernel_matrix(space, pts, pts, cfg).tolist()
     budget = 1.0 - m_target
-    parts: list[list[HalfPlanePoint]] = []
+    parts: list[list[int]] = []
     masses: list[list[float]] = []
-    for p in pts:
+    for i in range(len(pts)):
         placed = False
         for part, mass in zip(parts, masses):
-            links = [abs(kernel_value(space, q, p, cfg)) / (norms[p] * norms[q])
-                     for q in part]
+            links = [abs(kmat[i][q]) / (norms[i] * norms[q]) for q in part]
             new_mass = sum(links)
             if new_mass <= budget and all(m + l <= budget
                                           for m, l in zip(mass, links)):
-                for i, l in enumerate(links):
-                    mass[i] += l
-                part.append(p)
+                for k, l in enumerate(links):
+                    mass[k] += l
+                part.append(i)
                 mass.append(new_mass)
                 placed = True
                 break
         if not placed:
-            parts.append([p])
+            parts.append([i])
             masses.append([0.0])
-    return [PointSequence(tuple(part)) for part in parts]
+    return [PointSequence(tuple(pts[i] for i in part)) for part in parts]
 
 
 _MERGE_BASE = (

@@ -71,6 +71,11 @@ def _settle(total: complex, norm2: float, raw_error: float,
                            quadrature_error=err)
 
 
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise DomainError(f"window anchor theta must be finite, got {theta}")
+
+
 def line_embedding_ratio(f: DirichletPolynomial, theta: float) -> EmbeddingResult:
     """Mean square of f on the line Re s = 1/2 over [theta, theta+1].
 
@@ -78,6 +83,7 @@ def line_embedding_ratio(f: DirichletPolynomial, theta: float) -> EmbeddingResul
     e^{it log(n/m)}; each t-integral is elementary.  The result is divided by
     the squared coefficient norm sum |a_n|^2.
     """
+    _check_theta(theta)
     a = np.asarray(f.coeffs, dtype=np.complex128)
     size = a.shape[0]
     if size > LINE_DEGREE_CAP:
@@ -114,6 +120,7 @@ def halfstrip_embedding_ratio(f: DirichletPolynomial, theta: float,
     Gamma(2-alpha) log(m) log(n)/log(mn)^{2-alpha}.  Both are divided by the
     squared norm sum |a_n|^2 log^alpha(n+1).
     """
+    _check_theta(theta)
     if alpha == 0.0 or alpha > 1.0:
         raise DomainError("alpha must be nonzero and at most 1")
     a = np.asarray(f.coeffs, dtype=np.complex128)

@@ -1,6 +1,11 @@
 """Normalized Gram matrices of kernel functions, with certified Hermitian
 eigen/solve primitives.
 
+A Gram matrix is one spaces.kernel_matrix call: for the Dirichlet-series
+spaces all entries share one series length N and one shift-correction grid,
+chosen for the worst entry, so every unnormalized entry stays within the
+configured tol, plus product rounding of about N u sum |terms|.
+
 Eigenvalues come from LAPACK's Hermitian eigensolver (numpy.linalg.eigh);
 every returned eigenvalue carries a residual certificate against the
 original matrix.  The linear solver is LAPACK's Cholesky factorization
@@ -16,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, IllConditionedError, SizeError
-from .spaces import PointSequence, SpaceId, kernel_norm, kernel_value
+from .spaces import PointSequence, SpaceId, kernel_matrix, kernel_norm
 from .zeta import EvalConfig
 
 _DEFAULT_CFG = EvalConfig()
@@ -30,11 +35,14 @@ class GramMatrix:
 
     Entries are stored read-only; the diagonal is exactly 1 and the
     off-diagonal part is exactly Hermitian by upper-triangle mirroring.
+    norms holds the kernel norms |k_j| the entries were divided by (empty
+    for a matrix built from given entries).
     """
 
     entries: np.ndarray
     space: SpaceId
     sequence: PointSequence
+    norms: tuple[float, ...] = ()
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=np.complex128)
@@ -54,8 +62,14 @@ def gram_matrix(space: SpaceId, seq: PointSequence,
                 cap: int = GRAM_SIZE_CAP) -> GramMatrix:
     """Assemble the normalized Gram matrix for a point sequence.
 
-    Only the upper triangle is evaluated; the lower triangle is its mirror,
-    so the stored matrix is Hermitian by construction.  The diagonal is set
+    The kernel values come from one kernel_matrix call.  For the
+    Dirichlet-series spaces that call evaluates every entry with one
+    series length N and one shift-correction grid, chosen for the worst
+    entry, so each unnormalized entry is within cfg.tol of kernel_value;
+    the products add rounding of about N u sum |terms| (see zeta.py).  The
+    half-plane entries are kernel_value's bit for bit.  The upper triangle
+    is divided by the norms in Python complex arithmetic and mirrored, so
+    the stored matrix is Hermitian by construction.  The diagonal is set
     to exactly 1 (the normalization; kernel_norm has already rejected any
     diagonal with a bad imaginary residue or a nonpositive real part).
     """
@@ -64,13 +78,13 @@ def gram_matrix(space: SpaceId, seq: PointSequence,
         raise SizeError(f"sequence of {n} points exceeds cap {cap}")
     pts = seq.points
     norms = [kernel_norm(space, p, cfg) for p in pts]
-    g = np.eye(n, dtype=np.complex128)
+    k = kernel_matrix(space, pts, pts, cfg).tolist()
+    g = [[1.0 + 0.0j] * n for _ in range(n)]
     for l in range(n):
         for j in range(l + 1, n):
-            v = kernel_value(space, pts[j], pts[l], cfg)
-            g[l, j] = v / (norms[j] * norms[l])
-            g[j, l] = g[l, j].conjugate()
-    return GramMatrix(g, space, seq)
+            g[l][j] = k[l][j] / (norms[j] * norms[l])
+            g[j][l] = g[l][j].conjugate()
+    return GramMatrix(np.array(g, dtype=np.complex128), space, seq, tuple(norms))
 
 
 def smallest_eigenvalue(g: GramMatrix) -> float:

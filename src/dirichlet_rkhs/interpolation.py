@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ExhaustionError, NumericalError, SizeError
 from .gram import gram_matrix, solve_hermitian_pd
 from .spaces import (HARDY_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
-                     kernel_norm, kernel_value)
+                     kernel_matrix, kernel_norm)
 from .zeta import EvalConfig
 
 _DEFAULT_CFG = EvalConfig()
@@ -97,7 +97,11 @@ class DirichletBlaschke:
 
     def _factor(self, j: int, s: complex) -> complex:
         sj = self.nodes.points[j].as_complex
-        return 1.0 - cmath.exp((sj - s) * math.log(self.primes[j]))
+        try:
+            return 1.0 - cmath.exp((sj - s) * math.log(self.primes[j]))
+        except OverflowError:
+            raise NumericalError(f"Blaschke factor {j} overflows double "
+                                 f"precision at s={s}") from None
 
     def evaluate(self, s: complex) -> complex:
         out = 1.0 + 0.0j
@@ -157,9 +161,9 @@ class Interpolant:
         if self.representation == BLASCHKE_LAGRANGE:
             return sum(c * self.blaschke.partial(j, s)
                        for j, c in enumerate(self.coefficients))
-        point = HalfPlanePoint(s.real, s.imag)
-        return sum(c * kernel_value(self.space, self.nodes.points[j], point, cfg)
-                   for j, c in enumerate(self.coefficients))
+        row = kernel_matrix(self.space, (HalfPlanePoint(s.real, s.imag),),
+                            self.nodes.points, cfg)[0].tolist()
+        return sum(c * v for c, v in zip(self.coefficients, row))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -177,11 +181,10 @@ class Interpolant:
         return out
 
 
-def _admissibility(space: SpaceId, nodes: PointSequence, targets,
-                   cfg: EvalConfig) -> float:
+def _admissibility(targets, norms) -> float:
     total = 0.0
-    for p, a in zip(nodes.points, targets):
-        total += abs(a) ** 2 / kernel_norm(space, p, cfg) ** 2
+    for a, norm in zip(targets, norms):
+        total += abs(a) ** 2 / norm ** 2
     return math.sqrt(total)
 
 
@@ -209,7 +212,9 @@ def finite_interpolant(nodes: PointSequence, targets,
     interp = Interpolant(
         space=space, nodes=nodes, coefficients=tuple(coeffs),
         representation=BLASCHKE_LAGRANGE, targets=targets,
-        residuals=(), admissibility=_admissibility(space, nodes, targets, cfg),
+        residuals=(),
+        admissibility=_admissibility(
+            targets, [kernel_norm(space, p, cfg) for p in nodes.points]),
         blaschke=blaschke,
     )
     residuals = tuple(abs(interp.evaluate(p.as_complex, cfg) - a)
@@ -231,14 +236,14 @@ def min_norm_interpolant(space: SpaceId, nodes: PointSequence, targets,
     if len(targets) != len(nodes):
         raise SizeError("need one target per node")
     g = gram_matrix(space, nodes, cfg)
-    d = np.array([kernel_norm(space, p, cfg) for p in nodes.points])
+    d = np.array(g.norms)
     y = solve_hermitian_pd(g, targets / d)
     c = y / d
     norm_sq = float(np.real(np.conj(targets) @ c))
     interp = Interpolant(
         space=space, nodes=nodes, coefficients=tuple(complex(v) for v in c),
         representation=KERNEL_COMBINATION, targets=tuple(complex(a) for a in targets),
-        residuals=(), admissibility=_admissibility(space, nodes, targets, cfg),
+        residuals=(), admissibility=_admissibility(targets, g.norms),
         norm=math.sqrt(max(norm_sq, 0.0)),
     )
     kmat = g.entries * np.outer(d, d)

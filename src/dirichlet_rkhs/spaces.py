@@ -26,12 +26,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .zeta import EvalConfig, WeightedZetaParams, eval_weighted_zeta, eval_zeta
+from .zeta import (EvalConfig, WeightedZetaParams, eval_weighted_zeta,
+                   eval_weighted_zeta_outer, eval_zeta, eval_zeta_outer)
 
 _DEFAULT_CFG = EvalConfig()
 
@@ -164,6 +165,16 @@ def _dirichlet_limit_kernel(wbar: complex, s: complex) -> complex:
     return pref * logs
 
 
+def _half_plane_kernel(space: SpaceId, wbar: complex, s: complex) -> complex:
+    """k_w(s) for the half-plane families, in Python complex arithmetic."""
+    zsum = s + wbar
+    if space.family == HARDY_HALF_PLANE:
+        return 1.0 / (zsum - 1.0)
+    if space.alpha == 1.0:
+        return _dirichlet_limit_kernel(wbar, s)
+    return _bergman_constant(space.alpha) * (zsum - 1.0) ** complex(space.alpha - 1.0)
+
+
 def kernel_value(space: SpaceId, w: HalfPlanePoint, s: HalfPlanePoint,
                  cfg: EvalConfig = _DEFAULT_CFG) -> complex:
     """Reproducing kernel k_w evaluated at s."""
@@ -172,11 +183,33 @@ def kernel_value(space: SpaceId, w: HalfPlanePoint, s: HalfPlanePoint,
         return eval_zeta(zsum, cfg)
     if space.family == WEIGHTED_DIRICHLET:
         return eval_weighted_zeta(WeightedZetaParams(space.alpha), zsum, cfg)
-    if space.family == HARDY_HALF_PLANE:
-        return 1.0 / (zsum - 1.0)
-    if space.alpha == 1.0:
-        return _dirichlet_limit_kernel(w.as_complex.conjugate(), s.as_complex)
-    return _bergman_constant(space.alpha) * (zsum - 1.0) ** complex(space.alpha - 1.0)
+    return _half_plane_kernel(space, w.as_complex.conjugate(), s.as_complex)
+
+
+def kernel_matrix(space: SpaceId, rows: Sequence[HalfPlanePoint],
+                  cols: Sequence[HalfPlanePoint],
+                  cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
+    """K[l, j] = k_{cols[j]}(rows[l]), the kernel_value of every pair.
+
+    The Dirichlet-series families go through the outer-form evaluators of
+    zeta.py, which share one series length and one quadrature grid over
+    the matrix: each entry is within cfg.tol of kernel_value, not bitwise
+    equal to it.  The half-plane families are cheap and use kernel_value's
+    own complex arithmetic entry by entry, so they match it bit for bit.
+    Passing the same sequence as rows and cols halves the series work.
+    """
+    if len(rows) == 0 or len(cols) == 0:
+        return np.zeros((len(rows), len(cols)), dtype=np.complex128)
+    if space.family in (HARDY_DIRICHLET, WEIGHTED_DIRICHLET):
+        s = np.array([p.as_complex for p in rows], dtype=np.complex128)
+        w = s if cols is rows else np.array([p.as_complex for p in cols],
+                                            dtype=np.complex128)
+        if space.family == HARDY_DIRICHLET:
+            return eval_zeta_outer(s, w, cfg)
+        return eval_weighted_zeta_outer(WeightedZetaParams(space.alpha), s, w, cfg)
+    wbar = [p.as_complex.conjugate() for p in cols]
+    return np.array([[_half_plane_kernel(space, wb, p.as_complex) for wb in wbar]
+                     for p in rows], dtype=np.complex128)
 
 
 def kernel_norm(space: SpaceId, w: HalfPlanePoint,

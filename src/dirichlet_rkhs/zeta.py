@@ -13,6 +13,12 @@ whose singular behaviour at s = 1 is gamma(1-alpha) * (s-1)^(alpha-1)
 singular part without catastrophic cancellation by folding the subtraction
 into the tail integral (a lower-incomplete-gamma series), so they stay
 accurate arbitrarily close to s = 1.
+
+The outer-form evaluators eval_zeta_outer and eval_weighted_zeta_outer
+give the same series at every s_l + conj(w_j) of two point lists, as
+matrix products with one series length N and one quadrature grid for the
+whole matrix; each entry meets the scalar truncation budget, and the
+products add rounding of about N u sum |terms| (see the section below).
 """
 
 from __future__ import annotations
@@ -96,7 +102,8 @@ def _em_truncation_bound(s: complex, n: int, order: int) -> float:
     """Upper bound on the dropped Euler-Maclaurin remainder for x^-s tails.
 
     The remainder after `order` Bernoulli terms is bounded by the first
-    omitted term times |s + 2q + 1| / (sigma + 2q + 1).
+    omitted term times |s + 2q + 1| / (sigma + 2q + 1).  s and n may be
+    numpy arrays (elementwise).
     """
     sigma = s.real
     q = order
@@ -105,7 +112,8 @@ def _em_truncation_bound(s: complex, n: int, order: int) -> float:
     for j in range(2 * q + 1):
         prod *= abs(s + j)
     scale = abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
-    return lead * prod * n ** (-(sigma + 2 * q + 1)) * max(1.0, scale)
+    floor = np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale)
+    return lead * prod * n ** (-(sigma + 2 * q + 1)) * floor
 
 
 def _choose_em_length(s: complex, cfg: EvalConfig, budget: float) -> int:
@@ -129,11 +137,11 @@ def _power_sum(s: complex, n_last: int) -> complex:
 
 
 def _bernoulli_tail(s: complex, n: int, order: int) -> complex:
-    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(-s-2k+1)."""
+    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(-s-2k+1); s may be an array."""
     total = 0.0 + 0.0j
     for k in range(1, order + 1):
         coeff = _BERNOULLI[k] / math.factorial(2 * k)
-        total += coeff * _rising(s, 2 * k - 1) * n ** complex(-s - (2 * k - 1))
+        total += coeff * _rising(s, 2 * k - 1) * n ** (-s - (2 * k - 1))
     return total
 
 
@@ -321,11 +329,13 @@ def _weighted_trunc_bound(alpha: float, s: complex, n: int, order: int) -> float
     """Majorant for the first omitted Euler-Maclaurin term of the weighted tail.
 
     order is the number of derivative corrections retained (1 -> g',
-    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).
+    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).  s and
+    n may be numpy arrays (elementwise).
     """
     sigma = s.real
     k = 2 * order + 1  # derivative order of the first omitted term
-    lg_lo, lg_hi = math.log(n), math.log(n + 1.0)
+    log = np.log if isinstance(n, np.ndarray) else math.log
+    lg_lo, lg_hi = log(n), log(n + 1.0)
     lfac = lg_hi**-alpha if alpha <= 0 else lg_lo**-alpha
     prod = 1.0
     for j in range(k):
@@ -335,6 +345,12 @@ def _weighted_trunc_bound(alpha: float, s: complex, n: int, order: int) -> float
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _log_shift_delta(alpha: float, x: np.ndarray) -> np.ndarray:
+    """log(x+1)^-alpha - log(x)^-alpha without cancellation."""
+    lg0 = np.log(x)
+    return lg0**-alpha * np.expm1(-alpha * np.log1p(np.log1p(1.0 / x) / lg0))
 
 
 def _shift_correction_integral(alpha: float, s: complex, n: int, tol: float) -> complex:
@@ -363,10 +379,7 @@ def _shift_correction_integral(alpha: float, s: complex, n: int, tol: float) -> 
         half = 0.5 * (edges[1] - edges[0])
         v = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
         x = n * np.exp(v)
-        lg0 = np.log(x)
-        # log(x+1)^-a - log(x)^-a without cancellation
-        delta = lg0**-alpha * np.expm1(-alpha * np.log1p(np.log1p(1.0 / x) / lg0))
-        vals = np.exp(one_minus_s * v) * delta
+        vals = np.exp(one_minus_s * v) * _log_shift_delta(alpha, x)
         contrib = complex(np.sum((vals * np.tile(_GL_WEIGHTS, panels_per_block)))) * half
         contrib *= n ** complex(1.0 - s)
         total += contrib
@@ -384,8 +397,11 @@ def _choose_weighted_length(alpha: float, s: complex, cfg: EvalConfig, order: in
         raise DomainError(f"series length needs a finite s, got {s}")
     n = max(16, int(abs(s.imag) / 2) + 1)
     while n <= cfg.max_terms:
-        if _weighted_trunc_bound(alpha, s, n, order) <= budget:
-            return n
+        try:
+            if _weighted_trunc_bound(alpha, s, n, order) <= budget:
+                return n
+        except OverflowError:  # a large |alpha|: the bound passes double range
+            pass
         n *= 2
     raise ConvergenceError(
         f"weighted tail cannot reach tol={cfg.tol} within "
@@ -467,3 +483,247 @@ def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
         return regular - folded
     lead = eval_gamma(a) * (z - 1) ** complex(alpha - 1)
     return regular + (z - 1) ** complex(alpha - 1) * eval_upper_gamma(a, w) - lead
+
+
+# ---------------------------------------------------------------------------
+# outer form: every z = s_l + conj(w_j) of two point lists at once
+# ---------------------------------------------------------------------------
+#
+# The kernel matrices of the Dirichlet-series spaces need the series at all
+# pairwise sums z = s_l + conj(w_j).  Since n^-(s_l + conj(w_j)) =
+# n^-s_l conj(n^-w_j), a truncated sum with weights c_n is the product
+# A diag(c) B^H with A[l, n] = n^-s_l and B[j, n] = n^-w_j; so is the
+# shift-correction quadrature on its nodes x.  The whole matrix shares one
+# length N, the largest that the scalar doubling rule picks for any entry
+# (re-checked for every entry at that N), and one quadrature grid, so every
+# entry meets the scalar truncation budgets.  The values are not bitwise
+# those of the scalar evaluators: each product adds rounding of at most
+# about N u sum_n |c_n n^-Re z| (u the unit roundoff) to an entry, and the
+# phases of A and B are rounded separately, which adds about
+# (|Im s_l| + |Im w_j|) log N u per term.
+
+# slice length along the term and node axes, so that no intermediate array
+# holds more than (number of points) x _SLICE entries
+_SLICE = 1024
+
+
+def _outer_sum(s: np.ndarray, w: np.ndarray, log_x: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i x_i^-(s_l + conj(w_j)) for all l, j, sliced along i.
+
+    w may be the very array s, which then serves for both factors.
+    """
+    out = np.zeros((len(s), len(w)), dtype=np.complex128)
+    for lo in range(0, len(log_x), _SLICE):
+        lg = log_x[lo:lo + _SLICE]
+        a = np.exp(np.multiply.outer(-s, lg))
+        b = a if w is s else np.exp(np.multiply.outer(-w, lg))
+        out += (a * weights[lo:lo + _SLICE]) @ b.conj().T
+    return out
+
+
+def _shared_length(z: np.ndarray, n: np.ndarray, bound, cfg: EvalConfig,
+                   budget: float, failure) -> int:
+    """One series length for all of z.
+
+    Each entry doubles its own start length n until bound(z, n) <= budget,
+    as the scalar rule does; the largest of these is then checked for every
+    entry, and the doubling goes on until all entries meet the budget at
+    one length.  failure(z_k) is the ConvergenceError message for an entry
+    whose length would pass cfg.max_terms.
+    """
+    while True:
+        over_cap = n > cfg.max_terms
+        if over_cap.any():
+            raise ConvergenceError(failure(complex(z[over_cap][0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not met
+            over = ~(bound(z, n) <= budget)
+        if over.any():
+            n = np.where(over, 2 * n, n)
+        elif n.min() < n.max():
+            n = np.full(n.shape, n.max())
+        else:
+            return int(n.flat[0])
+
+
+def _pair_sums(s, w, name: str):
+    """(s, w, z) as complex arrays with z = s_l + conj(w_j); w stays the
+    very array s when it was given as s."""
+    same = w is s
+    s = np.asarray(s, dtype=np.complex128)
+    w = s if same else np.asarray(w, dtype=np.complex128)
+    z = np.add.outer(s, np.conj(w))
+    if not (np.all(np.isfinite(z)) and np.all(z.real > 1.0)):
+        raise DomainError(f"{name} needs finite s + conj(w) with real part > 1")
+    return s, w, z
+
+
+def eval_zeta_outer(s, w, cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
+    """Z[l, j] = zeta(s_l + conj(w_j)) for Re(s_l + conj(w_j)) > 1.
+
+    eval_zeta's Euler-Maclaurin formula with one N for the whole matrix;
+    each entry is within cfg.tol of eval_zeta at the same point.
+    """
+    s, w, z = _pair_sums(s, w, "eval_zeta_outer")
+    n0 = np.maximum(16, (np.abs(z.imag) / 3).astype(np.int64) + 1)
+    n = _shared_length(
+        z, n0, lambda zz, nn: _em_truncation_bound(zz, nn, cfg.em_order), cfg,
+        0.5 * cfg.tol,
+        lambda zk: f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
+                   f"max_terms={cfg.max_terms} at s={zk}")
+    terms = np.arange(1, n + 1, dtype=np.float64)
+    out = _outer_sum(s, w, np.log(terms), np.ones(n))
+    out += n ** (1 - z) / (z - 1) - 0.5 * n ** (-z)
+    return out + _bernoulli_tail(z, n, cfg.em_order)
+
+
+def _shift_correction_outer(alpha: float, s: np.ndarray, w: np.ndarray,
+                            z: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """_shift_correction_integral at every z = s_l + conj(w_j), on one grid.
+
+    The panels resolve the largest |Im z| and the blocks span the length
+    the smallest Re z needs; a block's nodes x = n e^v enter the product
+    with weights GL * half * delta(x) * x, since dx = x dv.  Blocks are
+    added until the largest contribution of a block is below 0.05 tol.
+    """
+    if alpha == 0.0:
+        return np.zeros(z.shape, dtype=np.complex128)
+    freq = float(np.max(np.abs(z.imag))) + 1.0
+    h = min(0.5, 2.0 * math.pi / (4.0 * freq))
+    block = 5.0 / min(float(np.min(z.real)), 2.0)
+    panels_per_block = max(1, math.ceil(block / h))
+    half = 0.5 * block / panels_per_block
+    mid = (block / panels_per_block) * (np.arange(panels_per_block) + 0.5)
+    v_block = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    gl_half = np.tile(_GL_WEIGHTS, panels_per_block) * half
+
+    total = np.zeros(z.shape, dtype=np.complex128)
+    for k in range(64):
+        x = n * np.exp(k * block + v_block)
+        contrib = _outer_sum(s, w, np.log(x), gl_half * _log_shift_delta(alpha, x) * x)
+        total += contrib
+        if np.max(np.abs(contrib)) < 0.05 * tol:
+            return total
+    raise ConvergenceError(
+        f"shift correction integral did not settle for alpha={alpha} on "
+        f"{z.size} points"
+    )
+
+
+def _lower_gamma_series_array(a: float, z: np.ndarray) -> np.ndarray:
+    """_lower_gamma_series elementwise on a 1-d array."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
+    term = np.full(z.shape, 1.0 / a, dtype=np.complex128)
+    total = term.copy()
+    for n_it in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
+        term *= z / (a + n_it)
+        total += term
+        done = np.abs(term) < 1e-18 * np.maximum(1.0, np.abs(total))
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"incomplete gamma series stalled at a={a}, z={z[0]}")
+
+
+def _exp_integral_e1_series_array(z: np.ndarray) -> np.ndarray:
+    """The |z| <= 1.5 series of _exp_integral_e1 elementwise on a 1-d array."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
+    total = -EULER_GAMMA - np.log(z)
+    term = np.ones(z.shape, dtype=np.complex128)
+    for k in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
+        term *= -z / k
+        contrib = -term / k
+        total += contrib
+        done = np.abs(contrib) < 1e-18 * np.maximum(1.0, np.abs(total))
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"E1 series stalled at z={z[0]}")
+
+
+def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
+    """_upper_gamma_cf (modified Lentz) elementwise on a 1-d array."""
+    tiny = 1e-300
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
+    b = z + 1.0 - a
+    c = np.full(z.shape, 1.0 / tiny, dtype=np.complex128)
+    d = 1.0 / np.where(b != 0, b, tiny)
+    h = d.copy()
+    for i in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d[np.abs(d) < tiny] = tiny
+        c = b + an / c
+        c[np.abs(c) < tiny] = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        done = np.abs(delta - 1.0) < 1e-16
+        zd = z[done]
+        out[idx[done]] = np.exp(-zd) * zd**a * h[done]
+        keep = ~done
+        idx, z, b, c, d, h = idx[keep], z[keep], b[keep], c[keep], d[keep], h[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, z={z[0]}")
+
+
+def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
+    """eval_upper_gamma(a, z) elementwise for a >= 0 and Re z > 0, with the
+    scalar code's branches, stopping tests and iteration cap."""
+    flat = z.ravel()
+    out = np.empty(flat.shape, dtype=np.complex128)
+    if a == 0.0:
+        near = np.abs(flat) <= 1.5
+        out[near] = _exp_integral_e1_series_array(flat[near])
+    else:
+        near = np.abs(flat) < a + 1.0
+        zn = flat[near]
+        out[near] = eval_gamma(a) - zn**a * np.exp(-zn) * _lower_gamma_series_array(a, zn)
+    out[~near] = _upper_gamma_cf_array(a, flat[~near])
+    return out.reshape(z.shape)
+
+
+def eval_weighted_zeta_outer(p: WeightedZetaParams, s, w,
+                             cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
+    """Z[l, j] = eval_weighted_zeta(p, s_l + conj(w_j)) for Re > 1.
+
+    The same pieces as the scalar evaluator (truncated sum, endpoint
+    corrections, shift-correction integral, incomplete-gamma tail) with
+    one N and one quadrature grid for the whole matrix; each entry is
+    within cfg.tol of eval_weighted_zeta at the same point.
+    """
+    alpha = p.alpha
+    s, w, z = _pair_sums(s, w, "eval_weighted_zeta_outer")
+    order = min(cfg.em_order, 2)
+    n0 = np.maximum(16, (np.abs(z.imag) / 2).astype(np.int64) + 1)
+    n = _shared_length(
+        z, n0, lambda zz, nn: _weighted_trunc_bound(alpha, zz, nn, order), cfg,
+        cfg.tol / 3.0,
+        lambda zk: f"weighted tail cannot reach tol={cfg.tol} within "
+                   f"max_terms={cfg.max_terms} at alpha={alpha}, s={zk}")
+    terms = np.arange(1, n, dtype=np.float64)
+    out = _outer_sum(s, w, np.log(terms), np.log(terms + 1.0) ** (-alpha))
+    g, g1, g3 = _weight_term_derivs(alpha, z, float(n))
+    out += 0.5 * g - g1 / 12.0
+    if order >= 2:
+        out += g3 / 720.0
+    out += _shift_correction_outer(alpha, s, w, z, n, cfg.tol / 3.0)
+    tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
+    if alpha != 1.0:
+        tail *= (z - 1) ** (alpha - 1)
+    return out + tail

@@ -249,6 +249,9 @@ def test_asymptotics_alpha_cap(capsys):
     ["probe", "--s", "0.75,0", "--target", "nan", "--t-max", "2"],
     ["probe", "--s", "0.75,0", "--target", "0.5", "--t-max", "nan"],
     ["embedding", "--coeffs", "{fix}/poly_small.json", "--theta", "inf"],
+    ["embedding", "--coeffs", "{fix}/poly_small.json", "--theta=nan"],
+    ["embedding", "--coeffs", "{fix}/poly_small.json", "--theta", "-inf"],
+    ["kernel", "--w", "1,0", "--s", "-inf,0"],
 ])
 def test_non_finite_input_is_refused(template, fixtures_dir, capsys):
     # certify or refuse: an error exit, nothing on stdout, one error object
@@ -258,6 +261,51 @@ def test_non_finite_input_is_refused(template, fixtures_dir, capsys):
     assert captured.out == ""
     obj = json.loads(captured.err)
     assert isinstance(obj, dict) and "error" in obj and "message" in obj
+
+
+@pytest.mark.parametrize("template, flag, value", [
+    (["probe", "--s", "1,0", "--t-max", "50"], "--target", "-1e-05"),
+    (["kernel", "--space", "d_alpha", "--w", "1,0", "--s", "1.2,0.5"], "--alpha", "-2.5E-1"),
+    (["embedding", "--coeffs", "{fix}/poly_small.json"], "--theta", "-1.5e+1"),
+])
+def test_negative_values_parse_in_both_forms(template, flag, value, fixtures_dir, capsys):
+    # "--flag value" and "--flag=value" give the same bytes for negative
+    # numbers in exponent form
+    assert run(_argv(template, fixtures_dir) + [flag, value]) == 0
+    spaced = capsys.readouterr()
+    assert run(_argv(template, fixtures_dir) + [f"{flag}={value}"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.err == joined.err == ""
+    assert spaced.out == joined.out != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--w", "1,0", "--s", "-inf,0"],
+    ["kernel", "--w", "-Infinity,0", "--s", "1,0"],
+    ["probe", "--s", "1,0", "--target", "-inf"],
+])
+def test_negative_infinity_is_refused_as_non_finite(argv, capsys):
+    rc = run(argv)
+    obj = json.loads(capsys.readouterr().err)
+    assert rc in (1, 2)
+    assert "expected one argument" not in obj["message"]
+    assert "finite" in obj["message"]
+
+
+@pytest.mark.parametrize("template, error", [
+    (["blaschke", "--nodes", "{fix}/nodes_small.json", "--eval", "-2.5e3,0"],
+     "NumericalError"),
+    (["asymptotics", "--alpha", "-2.5e3", "--kmax", "1"], "ConvergenceError"),
+    (["gram", "--space", "h_alpha", "--alpha", "-2.5e3",
+      "--points", "{fix}/geometric.json"], "ConvergenceError"),
+])
+def test_overflowing_input_is_refused(template, error, fixtures_dir, capsys):
+    # values far outside double range end in a library error, not an
+    # OverflowError traceback or a numpy warning on stderr
+    rc = run(_argv(template, fixtures_dir))
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 def test_worker_count_env(monkeypatch):
@@ -282,10 +330,12 @@ def test_map_ordered_preserves_order(monkeypatch):
 
 # argv fuzzing: every subcommand with well-formed flags, values drawn from
 # bounded ranges (heights and --t-max at most 1e3) and now and then a
-# non-finite value or a flag that does not fit; values are passed as
-# --flag=value so that negative numbers stay values
+# non-finite value, a negative number in another spelling or a flag that
+# does not fit; each argv passes its values either as --flag=value or as
+# --flag value, which must read negative numbers as values too
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_RARE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]).map(repr),
+                  st.sampled_from(["-1e-05", "-2.5E-1", "-.5", "-Infinity", "-NaN"]))
 
 
 def _one_in_ten(rare, common):
@@ -293,7 +343,7 @@ def _one_in_ten(rare, common):
 
 
 def _num(lo, hi):
-    return _one_in_ten(_NON_FINITE, st.floats(lo, hi)).map(repr)
+    return _one_in_ten(_RARE, st.floats(lo, hi).map(repr))
 
 
 _HEIGHT = _num(-1e3, 1e3)
@@ -305,6 +355,7 @@ _ALPHA = st.one_of(_num(-2.0, 1.5), st.sampled_from(["-1", "-0.5", "0", "0.5", "
 def _cli_argv(draw):
     sub = draw(st.sampled_from(["kernel", "gram", "diagnose", "interpolate",
                                 "blaschke", "asymptotics", "embedding", "probe"]))
+    spaced = draw(st.booleans())
     flags = {"format": draw(st.sampled_from(["json", "csv"]))}
     if sub not in ("blaschke", "asymptotics", "embedding"):
         flags["space"] = draw(st.sampled_from(["h", "h_alpha", "h2", "d_alpha"]))
@@ -342,7 +393,10 @@ def _cli_argv(draw):
     elif sub == "probe":
         flags.update({"s": draw(_POINT), "target": draw(_num(-0.5, 1.5)),
                       "t-max": draw(_num(-10.0, 1e3))})
-    return [sub] + [f"--{flag}={value}" for flag, value in flags.items()]
+    argv = [sub]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", value] if spaced else [f"--{flag}={value}"]
+    return argv
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,7 +409,7 @@ def test_cli_run_fuzz(argv):
     assert rc in (0, 1, 2), (argv, rc)
     if rc == 0:
         assert err == "", (argv, err)
-        if "--format=json" in argv:
+        if "--format=json" in argv or "json" in argv:
             assert isinstance(json.loads(out), dict), argv
         else:
             rows = list(csv.reader(io.StringIO(out)))

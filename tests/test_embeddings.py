@@ -102,6 +102,16 @@ def test_halfstrip_rejections():
         halfstrip_embedding_quadrature(f, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_non_finite_theta_is_domain_error(theta):
+    f = DirichletPolynomial((0.0, 1.0, 0.5))
+    with pytest.raises(DomainError, match="theta"):
+        line_embedding_ratio(f, theta)
+    for alpha in (-1.0, 0.5):
+        with pytest.raises(DomainError, match="theta"):
+            halfstrip_embedding_ratio(f, theta, alpha)
+
+
 def test_size_caps():
     big = _single_term(LINE_DEGREE_CAP + 1)
     with pytest.raises(SizeError):

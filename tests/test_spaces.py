@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirichlet_rkhs.errors import DomainError, NumericalError
+from dirichlet_rkhs.errors import ConvergenceError, DomainError, NumericalError
 from dirichlet_rkhs.spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET,
                                    HARDY_HALF_PLANE, WEIGHTED_DIRICHLET,
                                    DirichletPolynomial, HalfPlanePoint,
-                                   PointSequence, SpaceId, kernel_norm,
-                                   kernel_value, pseudohyperbolic_distance)
-from dirichlet_rkhs.zeta import (WeightedZetaParams, eval_weighted_remainder,
-                                 eval_zeta, eval_zeta_remainder)
+                                   PointSequence, SpaceId, kernel_matrix,
+                                   kernel_norm, kernel_value,
+                                   pseudohyperbolic_distance)
+from dirichlet_rkhs.zeta import (EvalConfig, WeightedZetaParams,
+                                 eval_weighted_remainder, eval_zeta,
+                                 eval_zeta_remainder)
 
 H = SpaceId(HARDY_DIRICHLET)
 H2 = SpaceId(HARDY_HALF_PLANE)
@@ -261,3 +263,63 @@ def test_polynomial_norms():
     assert abs(w - want) < 1e-12
     with pytest.raises(DomainError):
         f.norm(H2)
+
+
+def _bits(v) -> bytes:
+    return np.complex128(v).tobytes()
+
+
+_NEAR_ONE = 0.5 + 2.0 ** -12  # Re z = 1 + 2^-11 on the diagonal, as in criterion 08
+_ROWS = (HalfPlanePoint(_NEAR_ONE, 3.0), HalfPlanePoint(0.8, -40.0),
+         HalfPlanePoint(1.7, 12.5), HalfPlanePoint(3.0, 39.0))
+_COLS = (HalfPlanePoint(_NEAR_ONE, -2.0), HalfPlanePoint(1.1, 25.0),
+         HalfPlanePoint(2.2, -17.0), HalfPlanePoint(0.7, 0.0))
+_HIGH = HalfPlanePoint(0.6, 1000.3)
+_ALL_FAMILIES = (H, SpaceId(WEIGHTED_DIRICHLET, 0.5), SpaceId(WEIGHTED_DIRICHLET, -1.0),
+                 H2, SpaceId(BERGMAN_DIRICHLET, 0.5), SpaceId(BERGMAN_DIRICHLET, -1.0),
+                 SpaceId(BERGMAN_DIRICHLET, 1.0))
+
+
+def _assert_matches_scalar(space, rows, cols, cfg):
+    k = kernel_matrix(space, rows, cols, cfg)
+    assert k.shape == (len(rows), len(cols))
+    series = space.family in (HARDY_DIRICHLET, WEIGHTED_DIRICHLET)
+    for l, s in enumerate(rows):
+        for j, w in enumerate(cols):
+            want = kernel_value(space, w, s, cfg)
+            if series:
+                assert abs(k[l, j] - want) <= 2.0 * cfg.tol, (space, s, w)
+            else:
+                assert _bits(k[l, j]) == _bits(want), (space, s, w)
+    return k
+
+
+def test_kernel_matrix_matches_scalar(monkeypatch):
+    from dirichlet_rkhs import zeta
+    cfg = EvalConfig()
+    shapes = ((_ROWS + (_HIGH,), _COLS), ((_HIGH,), _COLS), (_COLS[1:2], _ROWS),
+              (_COLS, _COLS))
+    h_entries = []
+    for space in _ALL_FAMILIES:
+        for rows, cols in shapes:
+            k = _assert_matches_scalar(space, rows, cols, cfg)
+            if space == H:
+                h_entries += [(s.as_complex + w.as_complex.conjugate(), k[l, j])
+                              for l, s in enumerate(rows) for j, w in enumerate(cols)]
+    # slices of a few terms and nodes: every series matrix crosses many
+    monkeypatch.setattr(zeta, "_SLICE", 5)
+    for space in _ALL_FAMILIES:
+        _assert_matches_scalar(space, _ROWS, _COLS, cfg)
+    monkeypatch.undo()
+    # a series length cap that an entry cannot meet still raises
+    short = EvalConfig(max_terms=16)
+    for space in _ALL_FAMILIES[:3]:
+        with pytest.raises(ConvergenceError):
+            kernel_value(space, _COLS[1], _ROWS[1], short)
+        with pytest.raises(ConvergenceError):
+            kernel_matrix(space, _ROWS, _COLS, short)
+    assert kernel_matrix(H, (), _COLS).shape == (0, len(_COLS))
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for z, v in h_entries:
+        assert abs(v - complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))) <= cfg.tol, z

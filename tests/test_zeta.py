@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from dirichlet_rkhs.errors import DomainError, PoleError
 from dirichlet_rkhs.zeta import (EULER_GAMMA, EvalConfig, WeightedZetaParams,
+                                 _choose_em_length, _choose_weighted_length,
+                                 _em_truncation_bound, _shared_length,
+                                 _upper_gamma_array, _weighted_trunc_bound,
                                  eval_gamma, eval_upper_gamma, eval_weighted_remainder,
                                  eval_weighted_zeta, eval_zeta, eval_zeta_remainder)
 
@@ -209,3 +212,35 @@ def test_config_validation():
         EvalConfig(em_order=0)
     with pytest.raises(DomainError):
         EvalConfig(tol=-1.0)
+
+
+def test_shared_length_is_the_largest_scalar_length():
+    # the outer evaluators' one N is the largest length the scalar rule
+    # picks for any entry, and every entry's bound holds there
+    rng = np.random.default_rng(5)
+    z = rng.uniform(1.0005, 6.0, (7, 5)) + 1j * rng.uniform(-300.0, 300.0, (7, 5))
+    em_budget, w_budget = 0.5 * CFG.tol, CFG.tol / 3.0
+    cases = (
+        (3, em_budget, lambda zz, nn: _em_truncation_bound(zz, nn, CFG.em_order),
+         lambda zk: _choose_em_length(zk, CFG, em_budget)),
+        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(-1.0, zz, nn, 2),
+         lambda zk: _choose_weighted_length(-1.0, zk, CFG, 2, w_budget)),
+        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(0.5, zz, nn, 2),
+         lambda zk: _choose_weighted_length(0.5, zk, CFG, 2, w_budget)),
+    )
+    for div, budget, bound, scalar in cases:
+        start = np.maximum(16, (np.abs(z.imag) / div).astype(np.int64) + 1)
+        n = _shared_length(z, start, bound, CFG, budget, str)
+        assert n == max(scalar(complex(zk)) for zk in z.ravel())
+        assert np.all(bound(z, n) <= budget)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
+def test_upper_gamma_array_matches_scalar(a):
+    # both branches of each case: the series near 0 and the continued fraction
+    rng = np.random.default_rng(int(10 * a))
+    z = (10.0 ** rng.uniform(-3, 3, 300)) * np.exp(1j * rng.uniform(-1.5, 1.5, 300))
+    got = _upper_gamma_array(a, z.reshape(20, 15)).ravel()
+    for zk, g in zip(z, got):
+        want = eval_upper_gamma(a, complex(zk))
+        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), zk
