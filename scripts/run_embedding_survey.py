@@ -9,7 +9,7 @@ corpus max drifts with the draw, the spectral constant does not.
 import argparse
 import sys
 
-from dirichlet_rkhs.embeddings import (line_embedding_ratio,
+from dirichlet_rkhs.embeddings import (line_embedding_ratios,
                                        line_embedding_sharp_constant,
                                        random_polynomial_corpus)
 
@@ -30,7 +30,7 @@ def main(argv=None):
           f"seed={args.seed}")
     print("theta,corpus_max,corpus_mean,sharp_constant")
     for theta in thetas:
-        ratios = [line_embedding_ratio(f, theta).ratio for f in corpus]
+        ratios = [r.ratio for r in line_embedding_ratios(corpus, theta)]
         sharp = line_embedding_sharp_constant(args.max_degree, theta)
         print(f"{theta:g},{max(ratios):.12g},"
               f"{sum(ratios) / len(ratios):.12g},{sharp:.12g}")

@@ -12,8 +12,9 @@ from .diagnostics import (EquivalenceReport, SequenceReport, almost_periodicity_
                           gershgorin_split, merging_family, separation_constant,
                           shapiro_shields_test, space_equivalence_report)
 from .embeddings import (EmbeddingResult, halfstrip_embedding_quadrature,
-                         halfstrip_embedding_ratio, line_embedding_quadrature,
-                         line_embedding_ratio, line_embedding_sharp_constant,
+                         halfstrip_embedding_ratio, halfstrip_embedding_ratios,
+                         line_embedding_quadrature, line_embedding_ratio,
+                         line_embedding_ratios, line_embedding_sharp_constant,
                          random_polynomial_corpus)
 from .errors import (ConvergenceError, DirichletRkhsError, DomainError,
                      ExhaustionError, IllConditionedError, NumericalError,
@@ -44,8 +45,9 @@ __all__ = [
     "eval_weighted_remainder", "eval_weighted_zeta", "eval_zeta",
     "eval_zeta_remainder", "expand_dirichlet", "finite_interpolant",
     "gershgorin_split", "gram_matrix", "halfstrip_embedding_quadrature",
-    "halfstrip_embedding_ratio", "kernel_matrix", "kernel_norm", "kernel_value",
-    "line_embedding_quadrature", "line_embedding_ratio",
+    "halfstrip_embedding_ratio", "halfstrip_embedding_ratios", "kernel_matrix",
+    "kernel_norm", "kernel_value", "line_embedding_quadrature",
+    "line_embedding_ratio", "line_embedding_ratios",
     "line_embedding_sharp_constant", "merging_family", "min_norm_interpolant",
     "pseudohyperbolic_distance", "random_polynomial_corpus", "select_primes",
     "separation_constant", "shapiro_shields_test", "smallest_eigenvalue",

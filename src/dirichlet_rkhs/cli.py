@@ -15,12 +15,12 @@ import sys
 
 from .diagnostics import (almost_periodicity_probe, boas_bound, shapiro_shields_test,
                           space_tag)
-from .embeddings import (EmbeddingResult, halfstrip_embedding_ratio,
-                         line_embedding_ratio, random_polynomial_corpus)
+from .embeddings import (halfstrip_embedding_ratios, line_embedding_ratios,
+                         random_polynomial_corpus)
 from .errors import DirichletRkhsError, DomainError
 from .gram import gram_matrix, smallest_eigenvalue
 from .interpolation import build_blaschke, finite_interpolant, min_norm_interpolant
-from .parallel import map_ordered
+from .parallel import map_ordered, worker_count
 from .serialize import (emit_csv, emit_json, load_complex_list, load_point_sequence,
                         parse_complex_pair)
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
@@ -210,12 +210,6 @@ def _cmd_asymptotics(args):
     return payload, ["alpha", "k", "eps", "value_re", "main_term", "remainder"], csv_rows
 
 
-def _embedding_one(f: DirichletPolynomial, theta: float, alpha) -> EmbeddingResult:
-    if alpha is None:
-        return line_embedding_ratio(f, theta)
-    return halfstrip_embedding_ratio(f, theta, alpha)
-
-
 def _cmd_embedding(args):
     if (args.coeffs is None) == (args.corpus_count is None):
         raise UsageError("exactly one of --coeffs or --corpus-count is required")
@@ -235,7 +229,16 @@ def _cmd_embedding(args):
                 raise UsageError("--alpha < 0 sets a_1 = 0, so --max-degree "
                                  "must be at least 2")
             polys = [DirichletPolynomial((0j,) + f.coeffs[1:]) for f in polys]
-    results = map_ordered(lambda f: _embedding_one(f, args.theta, args.alpha), polys)
+    if args.alpha is None:
+        def ratios(part):
+            return line_embedding_ratios(part, args.theta)
+    else:
+        def ratios(part):
+            return halfstrip_embedding_ratios(part, args.theta, args.alpha)
+    # one contiguous share of the corpus per worker, each with its own pair table
+    step = -(-len(polys) // worker_count())
+    shares = [polys[i:i + step] for i in range(0, len(polys), step)]
+    results = [r for share in map_ordered(ratios, shares) for r in share]
     rows = [[args.theta, args.alpha, f.degree, r.ratio]
             for f, r in zip(polys, results)]
     if len(results) == 1:

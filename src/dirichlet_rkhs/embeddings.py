@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -76,6 +77,13 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"window anchor theta must be finite, got {theta}")
 
 
+def _common_length(coeffs: list[np.ndarray]) -> int:
+    sizes = sorted({a.shape[0] for a in coeffs})
+    if len(sizes) > 1:
+        raise DomainError(f"polynomials in one batch must share a length, got {sizes}")
+    return sizes[0]
+
+
 def line_embedding_ratio(f: DirichletPolynomial, theta: float) -> EmbeddingResult:
     """Mean square of f on the line Re s = 1/2 over [theta, theta+1].
 
@@ -83,30 +91,56 @@ def line_embedding_ratio(f: DirichletPolynomial, theta: float) -> EmbeddingResul
     e^{it log(n/m)}; each t-integral is elementary.  The result is divided by
     the squared coefficient norm sum |a_n|^2.
     """
+    return line_embedding_ratios([f], theta)[0]
+
+
+def line_embedding_ratios(polys: Sequence[DirichletPolynomial],
+                          theta: float) -> list[EmbeddingResult]:
+    """line_embedding_ratio of every polynomial in polys, in order.
+
+    The pair table (log n and the window factor of every (m, n) pair)
+    depends only on the common length and theta, so it is built once per
+    call, one 512-row block at a time.  Each polynomial is then reduced with
+    the arithmetic and summation order of a one-polynomial call, so every
+    result equals line_embedding_ratio(f, theta) bit for bit.  All
+    polynomials must share one length; otherwise DomainError.
+    """
     _check_theta(theta)
-    a = np.asarray(f.coeffs, dtype=np.complex128)
-    size = a.shape[0]
-    if size > LINE_DEGREE_CAP:
-        raise SizeError(f"polynomial length {size} exceeds cap {LINE_DEGREE_CAP}")
+    coeffs = [np.asarray(f.coeffs, dtype=np.complex128) for f in polys]
+    for a in coeffs:
+        if a.shape[0] > LINE_DEGREE_CAP:
+            raise SizeError(f"polynomial length {a.shape[0]} exceeds cap {LINE_DEGREE_CAP}")
+    if not coeffs:
+        return []
+    size = _common_length(coeffs)
     n = np.arange(1, size + 1, dtype=np.float64)
-    mod2 = a.real ** 2 + a.imag ** 2
-    # diagonal terms have window factor exactly 1; keep them division-exact
-    # so a single term yields ratio 1/n with no square-root round trip
-    total = complex(np.sum(mod2 / n))
-    w = a / np.sqrt(n)
+    root = np.sqrt(n)
     lam = np.log(n)
-    wbar = np.conjugate(w)
+    totals, norms2, ws = [], [], []
+    for a in coeffs:
+        mod2 = a.real ** 2 + a.imag ** 2
+        # diagonal terms have window factor exactly 1; keep them division-exact
+        # so a single term yields ratio 1/n with no square-root round trip
+        totals.append(complex(np.sum(mod2 / n)))
+        norms2.append(float(np.sum(mod2)))
+        ws.append(a / root)
+    wbars = [np.conjugate(w) for w in ws]
+    # blocks outside, polynomials inside: one block of the table is held at
+    # a time, and each polynomial still adds its block sums in block order
     block = 512
     for i in range(0, size, block):
         rows = min(block, size - i)
         dl = lam[np.newaxis, :] - lam[i:i + rows, np.newaxis]
         fac = _window_factor(dl, theta)
         fac[np.arange(rows), np.arange(i, i + rows)] = 0.0
-        total += complex(np.sum(w[i:i + rows, np.newaxis] * wbar[np.newaxis, :] * fac))
-    norm2 = float(np.sum(mod2))
-    # |window factor| <= 1, so the rounding mass is bounded by (sum |w|)^2
-    raw_err = 16.0 * _EPS * float(np.sum(np.abs(w))) ** 2 + abs(total.imag)
-    return _settle(total, norm2, raw_err, theta, None)
+        for k, (w, wbar) in enumerate(zip(ws, wbars)):
+            totals[k] += complex(np.sum(w[i:i + rows, np.newaxis] * wbar[np.newaxis, :] * fac))
+    out = []
+    for total, norm2, w in zip(totals, norms2, ws):
+        # |window factor| <= 1, so the rounding mass is bounded by (sum |w|)^2
+        raw_err = 16.0 * _EPS * float(np.sum(np.abs(w))) ** 2 + abs(total.imag)
+        out.append(_settle(total, norm2, raw_err, theta, None))
+    return out
 
 
 def halfstrip_embedding_ratio(f: DirichletPolynomial, theta: float,
@@ -120,36 +154,61 @@ def halfstrip_embedding_ratio(f: DirichletPolynomial, theta: float,
     Gamma(2-alpha) log(m) log(n)/log(mn)^{2-alpha}.  Both are divided by the
     squared norm sum |a_n|^2 log^alpha(n+1).
     """
+    return halfstrip_embedding_ratios([f], theta, alpha)[0]
+
+
+def halfstrip_embedding_ratios(polys: Sequence[DirichletPolynomial], theta: float,
+                               alpha: float) -> list[EmbeddingResult]:
+    """halfstrip_embedding_ratio of every polynomial in polys, in order.
+
+    n, log n, the Gamma pair weight and the window factor depend only on the
+    common length, theta and alpha, so they are built once per call.  Each
+    polynomial is then reduced with the arithmetic of a one-polynomial call,
+    so every result equals halfstrip_embedding_ratio(f, theta, alpha) bit for
+    bit.  All polynomials must share one length; otherwise DomainError.
+    """
     _check_theta(theta)
     if alpha == 0.0 or alpha > 1.0:
         raise DomainError("alpha must be nonzero and at most 1")
-    a = np.asarray(f.coeffs, dtype=np.complex128)
-    size = a.shape[0]
-    if size > HALFSTRIP_DEGREE_CAP:
-        raise SizeError(f"polynomial length {size} exceeds cap {HALFSTRIP_DEGREE_CAP}")
-    if alpha < 0.0 and a[0] != 0.0:
-        raise DomainError("alpha < 0 requires a_1 = 0: the constant term meets "
-                          "a non-integrable weight over the unbounded strip")
-    norm2 = f.norm(SpaceId(WEIGHTED_DIRICHLET, alpha)) ** 2
+    coeffs = [np.asarray(f.coeffs, dtype=np.complex128) for f in polys]
+    for a in coeffs:
+        if a.shape[0] > HALFSTRIP_DEGREE_CAP:
+            raise SizeError(f"polynomial length {a.shape[0]} exceeds cap "
+                            f"{HALFSTRIP_DEGREE_CAP}")
+        if alpha < 0.0 and a[0] != 0.0:
+            raise DomainError("alpha < 0 requires a_1 = 0: the constant term meets "
+                              "a non-integrable weight over the unbounded strip")
+    if not coeffs:
+        return []
+    size = _common_length(coeffs)
+    space = SpaceId(WEIGHTED_DIRICHLET, alpha)
+    norms2 = [f.norm(space) ** 2 for f in polys]
     if size < 2:
         # constant polynomial: derivative branch integrates the zero function
-        return EmbeddingResult(0.0, float(theta), float(alpha), 0.0)
+        return [EmbeddingResult(0.0, float(theta), float(alpha), 0.0) for _ in polys]
     n = np.arange(2, size + 1, dtype=np.float64)
+    root = np.sqrt(n)
     ln = np.log(n)
-    w = a[1:] / np.sqrt(n)
     lnmn = ln[:, np.newaxis] + ln[np.newaxis, :]
     fac = _window_factor(ln[np.newaxis, :] - ln[:, np.newaxis], theta)
     if alpha < 0.0:
         weight = eval_gamma(-alpha) / lnmn ** (-alpha)
-        core = w[:, np.newaxis] * np.conjugate(w)[np.newaxis, :]
     else:
         weight = eval_gamma(2.0 - alpha) / lnmn ** (2.0 - alpha)
-        wl = w * ln
-        core = wl[:, np.newaxis] * np.conjugate(wl)[np.newaxis, :]
-    total = complex(np.sum(core * weight * fac))
-    raw_err = 16.0 * _EPS * float(np.max(weight)) * float(np.sum(np.abs(core)))
-    raw_err += abs(total.imag)
-    return _settle(total, norm2, raw_err, theta, float(alpha))
+    top = float(np.max(weight))
+    out = []
+    for a, norm2 in zip(coeffs, norms2):
+        w = a[1:] / root
+        if alpha < 0.0:
+            core = w[:, np.newaxis] * np.conjugate(w)[np.newaxis, :]
+        else:
+            wl = w * ln
+            core = wl[:, np.newaxis] * np.conjugate(wl)[np.newaxis, :]
+        total = complex(np.sum(core * weight * fac))
+        raw_err = 16.0 * _EPS * top * float(np.sum(np.abs(core)))
+        raw_err += abs(total.imag)
+        out.append(_settle(total, norm2, raw_err, theta, float(alpha)))
+    return out
 
 
 def line_embedding_sharp_constant(degree: int, theta: float = 0.0) -> float:

@@ -237,19 +237,24 @@ def min_norm_interpolant(space: SpaceId, nodes: PointSequence, targets,
         raise SizeError("need one target per node")
     g = gram_matrix(space, nodes, cfg)
     d = np.array(g.norms)
-    y = solve_hermitian_pd(g, targets / d)
-    c = y / d
-    norm_sq = float(np.real(np.conj(targets) @ c))
-    interp = Interpolant(
+    # kernel norms near the bottom of the double range send c = y / d and its
+    # norm past the top of it: a library error, not inf or nan in the result
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            y = solve_hermitian_pd(g, targets / d)
+            c = y / d
+            norm_sq = float(np.real(np.conj(targets) @ c))
+            admissibility = _admissibility(targets, g.norms)
+            kmat = g.entries * np.outer(d, d)
+            resid = np.abs(kmat @ c - targets)
+    except FloatingPointError as exc:
+        raise NumericalError(f"min-norm interpolant leaves the double range: {exc}") from None
+    return Interpolant(
         space=space, nodes=nodes, coefficients=tuple(complex(v) for v in c),
         representation=KERNEL_COMBINATION, targets=tuple(complex(a) for a in targets),
-        residuals=(), admissibility=_admissibility(targets, g.norms),
+        residuals=tuple(float(r) for r in resid), admissibility=admissibility,
         norm=math.sqrt(max(norm_sq, 0.0)),
     )
-    kmat = g.entries * np.outer(d, d)
-    resid = np.abs(kmat @ c - targets)
-    object.__setattr__(interp, "residuals", tuple(float(r) for r in resid))
-    return interp
 
 
 def expand_dirichlet(interp: Interpolant, max_terms: int = 65536) -> list[tuple[int, complex]]:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -148,14 +149,28 @@ class DirichletPolynomial:
             return math.sqrt(float(np.sum(a)))
         if space.family == WEIGHTED_DIRICHLET:
             n = np.arange(1, len(self.coeffs) + 1, dtype=np.float64)
-            return math.sqrt(float(np.sum(a * np.log(n + 1.0) ** space.alpha)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm2 = float(np.sum(a * np.log(n + 1.0) ** space.alpha))
+            if not math.isfinite(norm2):
+                raise DomainError(f"weighted norm at alpha={space.alpha} overflows "
+                                  f"double precision")
+            return math.sqrt(norm2)
         raise DomainError(f"coefficient norm undefined for {space.family}")
 
 
 def _bergman_constant(alpha: float) -> float:
-    if alpha < 0:
-        return (-alpha) * 2.0 ** (-alpha - 1.0)
-    return 2.0 ** (alpha - 1.0) / (1.0 - alpha)
+    if alpha > 0:
+        return 2.0 ** (alpha - 1.0) / (1.0 - alpha)
+    try:
+        c = (-alpha) * 2.0 ** (-alpha - 1.0)
+    except OverflowError:
+        c = math.inf
+    # a subnormal constant has lost mantissa bits, and its kernel norms are
+    # so small that solves against them overflow
+    if not sys.float_info.min <= c < math.inf:
+        raise DomainError(f"kernel constant at alpha={alpha} is outside the normal "
+                          f"double range")
+    return c
 
 
 def _dirichlet_limit_kernel(wbar: complex, s: complex) -> complex:
@@ -165,14 +180,28 @@ def _dirichlet_limit_kernel(wbar: complex, s: complex) -> complex:
     return pref * logs
 
 
-def _half_plane_kernel(space: SpaceId, wbar: complex, s: complex) -> complex:
-    """k_w(s) for the half-plane families, in Python complex arithmetic."""
-    zsum = s + wbar
+def _half_plane_kernel(space: SpaceId) -> Callable[[complex, complex], complex]:
+    """k(conj(w), s) for a half-plane family, in Python complex arithmetic.
+
+    The space's constants are computed once, so a matrix pays for them once.
+    """
     if space.family == HARDY_HALF_PLANE:
-        return 1.0 / (zsum - 1.0)
+        return lambda wbar, s: 1.0 / (s + wbar - 1.0)
     if space.alpha == 1.0:
-        return _dirichlet_limit_kernel(wbar, s)
-    return _bergman_constant(space.alpha) * (zsum - 1.0) ** complex(space.alpha - 1.0)
+        return _dirichlet_limit_kernel
+    c, power = _bergman_constant(space.alpha), complex(space.alpha - 1.0)
+
+    def bergman(wbar: complex, s: complex) -> complex:
+        zsum = s + wbar
+        try:
+            value = c * (zsum - 1.0) ** power
+        except OverflowError:
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise NumericalError(f"kernel at s + conj(w) = {zsum} and alpha={space.alpha} "
+                                 f"overflows double precision")
+        return value
+    return bergman
 
 
 def kernel_value(space: SpaceId, w: HalfPlanePoint, s: HalfPlanePoint,
@@ -183,7 +212,7 @@ def kernel_value(space: SpaceId, w: HalfPlanePoint, s: HalfPlanePoint,
         return eval_zeta(zsum, cfg)
     if space.family == WEIGHTED_DIRICHLET:
         return eval_weighted_zeta(WeightedZetaParams(space.alpha), zsum, cfg)
-    return _half_plane_kernel(space, w.as_complex.conjugate(), s.as_complex)
+    return _half_plane_kernel(space)(w.as_complex.conjugate(), s.as_complex)
 
 
 def kernel_matrix(space: SpaceId, rows: Sequence[HalfPlanePoint],
@@ -207,8 +236,9 @@ def kernel_matrix(space: SpaceId, rows: Sequence[HalfPlanePoint],
         if space.family == HARDY_DIRICHLET:
             return eval_zeta_outer(s, w, cfg)
         return eval_weighted_zeta_outer(WeightedZetaParams(space.alpha), s, w, cfg)
+    kernel = _half_plane_kernel(space)
     wbar = [p.as_complex.conjugate() for p in cols]
-    return np.array([[_half_plane_kernel(space, wb, p.as_complex) for wb in wbar]
+    return np.array([[kernel(wb, p.as_complex) for wb in wbar]
                      for p in rows], dtype=np.complex128)
 
 

@@ -18,7 +18,7 @@ from dirichlet_rkhs.cli import run
 from dirichlet_rkhs.diagnostics import (almost_periodicity_probe, boas_bound,
                                         gershgorin_split, merging_family)
 from dirichlet_rkhs.embeddings import (line_embedding_quadrature,
-                                       line_embedding_ratio,
+                                       line_embedding_ratio, line_embedding_ratios,
                                        line_embedding_sharp_constant,
                                        random_polynomial_corpus)
 from dirichlet_rkhs.errors import DomainError
@@ -256,8 +256,7 @@ def test_criterion_07_window_embedding_constants():
     for seed in (0, 1, 2):
         corpus = random_polynomial_corpus(200, 100, seed)
         for th in thetas:
-            for idx, f in enumerate(corpus):
-                res = line_embedding_ratio(f, th)
+            for idx, res in enumerate(line_embedding_ratios(corpus, th)):
                 bound = sharp[th] * (1.0 + 1e-12) + res.quadrature_error
                 assert res.ratio <= bound, (
                     f"seed {seed} polynomial {idx} window-start {th}: ratio "

@@ -298,7 +298,20 @@ def test_negative_infinity_is_refused_as_non_finite(argv, capsys):
     (["asymptotics", "--alpha", "-2.5e3", "--kmax", "1"], "ConvergenceError"),
     (["gram", "--space", "h_alpha", "--alpha", "-2.5e3",
       "--points", "{fix}/geometric.json"], "ConvergenceError"),
+    (["gram", "--space", "d_alpha", "--alpha", "-2.5e3",
+      "--points", "{fix}/geometric.json"], "DomainError"),
+    (["gram", "--space", "d_alpha", "--alpha", "-500",
+      "--points", "{fix}/geometric.json"], "NumericalError"),
+    (["embedding", "--corpus-count", "1", "--max-degree", "2", "--alpha", "-2.5e3"],
+     "DomainError"),
+    (["interpolate", "--space", "d_alpha", "--alpha=-2.225073858507203e-309",
+      "--nodes", "{fix}/nodes_small.json", "--targets", "{fix}/targets_small.json"],
+     "DomainError"),
+    (["interpolate", "--space", "d_alpha", "--alpha=-5e-308",
+      "--nodes", "{fix}/nodes_small.json", "--targets", "{fix}/targets_small.json"],
+     "NumericalError"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_overflowing_input_is_refused(template, error, fixtures_dir, capsys):
     # values far outside double range end in a library error, not an
     # OverflowError traceback or a numpy warning on stderr
@@ -335,7 +348,8 @@ def test_map_ordered_preserves_order(monkeypatch):
 # --flag value, which must read negative numbers as values too
 FIXTURES_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 _RARE = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]).map(repr),
-                  st.sampled_from(["-1e-05", "-2.5E-1", "-.5", "-Infinity", "-NaN"]))
+                  st.sampled_from(["-1e-05", "-2.5E-1", "-2.5E+3", "-.5", "-Infinity",
+                                   "-NaN"]))
 
 
 def _one_in_ten(rare, common):

@@ -9,8 +9,10 @@ from dirichlet_rkhs.errors import DomainError, SizeError
 from dirichlet_rkhs.embeddings import (HALFSTRIP_DEGREE_CAP, LINE_DEGREE_CAP,
                                        halfstrip_embedding_quadrature,
                                        halfstrip_embedding_ratio,
+                                       halfstrip_embedding_ratios,
                                        line_embedding_quadrature,
                                        line_embedding_ratio,
+                                       line_embedding_ratios,
                                        line_embedding_sharp_constant,
                                        random_polynomial_corpus)
 from dirichlet_rkhs.spaces import HARDY_DIRICHLET, DirichletPolynomial, SpaceId
@@ -123,6 +125,46 @@ def test_size_caps():
         line_embedding_sharp_constant(LINE_DEGREE_CAP + 1)
     with pytest.raises(DomainError):
         line_embedding_sharp_constant(0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 100.0])
+@pytest.mark.parametrize("degree, count", [(1, 3), (40, 6), (600, 3)])
+def test_line_batch_matches_single_bitwise(degree, count, theta):
+    # degree 600 crosses the 512-row block boundary of the pair table
+    corpus = random_polynomial_corpus(count, degree, degree)
+    assert line_embedding_ratios(corpus, theta) == [
+        line_embedding_ratio(f, theta) for f in corpus]
+
+
+@pytest.mark.parametrize("degree, alpha", [(1, 0.5), (2, -0.5), (2, 0.5),
+                                           (30, -0.5), (30, 0.5)])
+def test_halfstrip_batch_matches_single_bitwise(degree, alpha):
+    corpus = random_polynomial_corpus(5, degree, 17)
+    if alpha < 0.0:
+        corpus = [DirichletPolynomial((0j,) + f.coeffs[1:]) for f in corpus]
+    assert halfstrip_embedding_ratios(corpus, 1.5, alpha) == [
+        halfstrip_embedding_ratio(f, 1.5, alpha) for f in corpus]
+
+
+def test_batch_rejections():
+    short, long_ = DirichletPolynomial((0.0, 1.0)), DirichletPolynomial((0.0, 1.0, 2.0))
+    assert line_embedding_ratios([], 0.0) == []
+    assert halfstrip_embedding_ratios([], 0.0, 0.5) == []
+    with pytest.raises(DomainError, match="share a length"):
+        line_embedding_ratios([short, long_], 0.0)
+    with pytest.raises(DomainError, match="share a length"):
+        halfstrip_embedding_ratios([short, long_], 0.0, -0.5)
+    # a polynomial that fails alone fails the same way inside a batch
+    big = _single_term(LINE_DEGREE_CAP + 1)
+    with pytest.raises(SizeError):
+        line_embedding_ratios([big, big], 0.0)
+    strip_big = _single_term(HALFSTRIP_DEGREE_CAP + 1)
+    with pytest.raises(SizeError):
+        halfstrip_embedding_ratios([strip_big, strip_big], 0.0, 0.5)
+    with pytest.raises(DomainError, match="a_1 = 0"):
+        halfstrip_embedding_ratios([long_, DirichletPolynomial((1.0, 1.0, 2.0))], 0.0, -0.5)
+    with pytest.raises(DomainError, match="theta"):
+        line_embedding_ratios([short], math.nan)
 
 
 def test_sharp_constant_values_and_growth():
