@@ -15,8 +15,8 @@ import sys
 
 from .diagnostics import (almost_periodicity_probe, boas_bound, shapiro_shields_test,
                           space_tag)
-from .embeddings import (halfstrip_embedding_ratios, line_embedding_ratios,
-                         random_polynomial_corpus)
+from .embeddings import (_check_length, halfstrip_embedding_ratios,
+                         line_embedding_ratios, random_polynomial_corpus)
 from .errors import DirichletRkhsError, DomainError
 from .gram import gram_matrix, smallest_eigenvalue
 from .interpolation import build_blaschke, finite_interpolant, min_norm_interpolant
@@ -24,11 +24,9 @@ from .parallel import map_ordered, worker_count
 from .serialize import (emit_csv, emit_json, load_complex_list, load_point_sequence,
                         parse_complex_pair)
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
-                     WEIGHTED_DIRICHLET, DirichletPolynomial, HalfPlanePoint,
-                     PointSequence, SpaceId, kernel_norm, kernel_value,
-                     pseudohyperbolic_distance)
-from .zeta import (EvalConfig, WeightedZetaParams, eval_gamma, eval_weighted_zeta,
-                   eval_zeta)
+                     WEIGHTED_DIRICHLET, DirichletPolynomial, HalfPlanePoint, SpaceId,
+                     kernel_norm, kernel_value, pseudohyperbolic_distance)
+from .zeta import EvalConfig, WeightedZetaParams, eval_gamma, eval_weighted_zeta
 
 _SPACE_NAMES = {
     "h": HARDY_DIRICHLET,
@@ -87,18 +85,10 @@ def _point(text: str, flag: str) -> HalfPlanePoint:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def _load_points(path: str) -> PointSequence:
+def _load(loader, path: str):
+    """loader(path), with an unreadable or malformed file as a usage error."""
     try:
-        return load_point_sequence(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _load_complexes(path: str) -> list[complex]:
-    try:
-        return load_complex_list(path)
+        return loader(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except DomainError as exc:
@@ -117,7 +107,7 @@ def _cmd_kernel(args):
 
 def _cmd_gram(args):
     space = _space(args)
-    seq = _load_points(args.points)
+    seq = _load(load_point_sequence, args.points)
     g = gram_matrix(space, seq, _config(args))
     lam = smallest_eigenvalue(g)
     entries = [[[g.entries[l, j].real, g.entries[l, j].imag] for j in range(g.n)]
@@ -135,7 +125,7 @@ def _cmd_gram(args):
 
 def _cmd_diagnose(args):
     space = _space(args)
-    seq = _load_points(args.points)
+    seq = _load(load_point_sequence, args.points)
     cfg = _config(args)
     verdict, report = shapiro_shields_test(seq, args.delta_min, args.carleson_max, cfg)
     payload = report.to_json_dict()
@@ -152,8 +142,8 @@ def _cmd_diagnose(args):
 
 def _cmd_interpolate(args):
     space = _space(args)
-    nodes = _load_points(args.nodes)
-    targets = _load_complexes(args.targets)
+    nodes = _load(load_point_sequence, args.nodes)
+    targets = _load(load_complex_list, args.targets)
     if len(targets) != len(nodes):
         raise UsageError(f"{len(nodes)} nodes but {len(targets)} targets")
     cfg = _config(args)
@@ -175,7 +165,7 @@ def _cmd_interpolate(args):
 
 
 def _cmd_blaschke(args):
-    nodes = _load_points(args.nodes)
+    nodes = _load(load_point_sequence, args.nodes)
     product = build_blaschke(nodes)
     payload = product.to_json_dict()
     if args.eval is not None:
@@ -214,7 +204,7 @@ def _cmd_embedding(args):
     if (args.coeffs is None) == (args.corpus_count is None):
         raise UsageError("exactly one of --coeffs or --corpus-count is required")
     if args.coeffs is not None:
-        coeffs = _load_complexes(args.coeffs)
+        coeffs = _load(load_complex_list, args.coeffs)
         try:
             polys = [DirichletPolynomial(tuple(coeffs))]
         except DomainError as exc:
@@ -222,6 +212,7 @@ def _cmd_embedding(args):
     else:
         if args.corpus_count < 1:
             raise UsageError("--corpus-count must be at least 1")
+        _check_length(args.max_degree, args.alpha)
         polys = random_polynomial_corpus(args.corpus_count, args.max_degree, args.seed)
         if args.alpha is not None and args.alpha < 0.0:
             # the alpha < 0 half-strip weight is integrable only when a_1 = 0

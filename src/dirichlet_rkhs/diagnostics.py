@@ -18,10 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .gram import gram_matrix, smallest_eigenvalue
+from .gram import _normalized_kernel_matrix, gram_matrix, smallest_eigenvalue
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
-                     kernel_matrix, kernel_norm, pseudohyperbolic_distance)
+                     pseudohyperbolic_distance)
 from .zeta import (EvalConfig, WeightedZetaParams, _weight_term_derivs,
                    eval_weighted_zeta, eval_zeta)
 
@@ -185,15 +185,13 @@ def gershgorin_split(space: SpaceId, seq: PointSequence, m_target: float,
     for a, b in zip(pts, pts[1:]):
         if abs(a.sigma - b.sigma) <= 1e-12:
             raise DomainError("splitting requires strictly distinct sigma values")
-    norms = [kernel_norm(space, p, cfg) for p in pts]
-    kmat = kernel_matrix(space, pts, pts, cfg).tolist()
+    g, _ = _normalized_kernel_matrix(space, pts, cfg)
     budget = 1.0 - m_target
     parts: list[list[int]] = []
     masses: list[list[float]] = []
     for i in range(len(pts)):
-        placed = False
         for part, mass in zip(parts, masses):
-            links = [abs(kmat[i][q]) / (norms[i] * norms[q]) for q in part]
+            links = [abs(g[i][q]) for q in part]
             new_mass = sum(links)
             if new_mass <= budget and all(m + l <= budget
                                           for m, l in zip(mass, links)):
@@ -201,9 +199,8 @@ def gershgorin_split(space: SpaceId, seq: PointSequence, m_target: float,
                     mass[k] += l
                 part.append(i)
                 mass.append(new_mass)
-                placed = True
                 break
-        if not placed:
+        else:
             parts.append([i])
             masses.append([0.0])
     return [PointSequence(tuple(pts[i] for i in part)) for part in parts]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -77,6 +77,13 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"window anchor theta must be finite, got {theta}")
 
 
+def _check_length(size: int, alpha: Optional[float] = None) -> None:
+    """SizeError over the line cap, or the half-strip cap when alpha is given."""
+    cap = LINE_DEGREE_CAP if alpha is None else HALFSTRIP_DEGREE_CAP
+    if size > cap:
+        raise SizeError(f"polynomial length {size} exceeds cap {cap}")
+
+
 def _common_length(coeffs: list[np.ndarray]) -> int:
     sizes = sorted({a.shape[0] for a in coeffs})
     if len(sizes) > 1:
@@ -108,8 +115,7 @@ def line_embedding_ratios(polys: Sequence[DirichletPolynomial],
     _check_theta(theta)
     coeffs = [np.asarray(f.coeffs, dtype=np.complex128) for f in polys]
     for a in coeffs:
-        if a.shape[0] > LINE_DEGREE_CAP:
-            raise SizeError(f"polynomial length {a.shape[0]} exceeds cap {LINE_DEGREE_CAP}")
+        _check_length(a.shape[0])
     if not coeffs:
         return []
     size = _common_length(coeffs)
@@ -172,9 +178,7 @@ def halfstrip_embedding_ratios(polys: Sequence[DirichletPolynomial], theta: floa
         raise DomainError("alpha must be nonzero and at most 1")
     coeffs = [np.asarray(f.coeffs, dtype=np.complex128) for f in polys]
     for a in coeffs:
-        if a.shape[0] > HALFSTRIP_DEGREE_CAP:
-            raise SizeError(f"polynomial length {a.shape[0]} exceeds cap "
-                            f"{HALFSTRIP_DEGREE_CAP}")
+        _check_length(a.shape[0], alpha)
         if alpha < 0.0 and a[0] != 0.0:
             raise DomainError("alpha < 0 requires a_1 = 0: the constant term meets "
                               "a non-integrable weight over the unbounded strip")
@@ -222,8 +226,7 @@ def line_embedding_sharp_constant(degree: int, theta: float = 0.0) -> float:
     """
     if degree < 1:
         raise DomainError("degree must be at least 1")
-    if degree > LINE_DEGREE_CAP:
-        raise SizeError(f"degree {degree} exceeds cap {LINE_DEGREE_CAP}")
+    _check_length(degree)
     n = np.arange(1, degree + 1, dtype=np.float64)
     lam = np.log(n)
     root = 1.0 / np.sqrt(n)

@@ -1,10 +1,11 @@
 """Normalized Gram matrices of kernel functions, with certified Hermitian
 eigen/solve primitives.
 
-A Gram matrix is one spaces.kernel_matrix call: for the Dirichlet-series
-spaces all entries share one series length N and one shift-correction grid,
-chosen for the worst entry, so every unnormalized entry stays within the
-configured tol, plus product rounding of about N u sum |terms|.
+A Gram matrix is one spaces.kernel_matrix call, normalized by the square
+roots of its own diagonal.  Dirichlet-series entries, diagonal included,
+share one series length N and one shift-correction grid, so each is within
+the configured tol plus product rounding of about N u sum |terms|; the
+half-plane entries and norms are kernel_value's and kernel_norm's bit for bit.
 
 Eigenvalues come from LAPACK's Hermitian eigensolver (numpy.linalg.eigh);
 every returned eigenvalue carries a residual certificate against the
@@ -15,13 +16,13 @@ floor, iterative refinement and a residual check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, IllConditionedError, SizeError
-from .spaces import PointSequence, SpaceId, kernel_matrix, kernel_norm
+from .spaces import PointSequence, SpaceId, _diagonal_norm, kernel_matrix
 from .zeta import EvalConfig
 
 _DEFAULT_CFG = EvalConfig()
@@ -35,8 +36,8 @@ class GramMatrix:
 
     Entries are stored read-only; the diagonal is exactly 1 and the
     off-diagonal part is exactly Hermitian by upper-triangle mirroring.
-    norms holds the kernel norms |k_j| the entries were divided by (empty
-    for a matrix built from given entries).
+    norms holds the kernel norms |k_j|, the square roots of the kernel
+    matrix's own diagonal (empty for a matrix built from given entries).
     """
 
     entries: np.ndarray
@@ -57,33 +58,36 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def gram_matrix(space: SpaceId, seq: PointSequence,
-                cfg: EvalConfig = _DEFAULT_CFG,
-                cap: int = GRAM_SIZE_CAP) -> GramMatrix:
-    """Assemble the normalized Gram matrix for a point sequence.
-
-    The kernel values come from one kernel_matrix call.  For the
-    Dirichlet-series spaces that call evaluates every entry with one
-    series length N and one shift-correction grid, chosen for the worst
-    entry, so each unnormalized entry is within cfg.tol of kernel_value;
-    the products add rounding of about N u sum |terms| (see zeta.py).  The
-    half-plane entries are kernel_value's bit for bit.  The upper triangle
-    is divided by the norms in Python complex arithmetic and mirrored, so
-    the stored matrix is Hermitian by construction.  The diagonal is set
-    to exactly 1 (the normalization; kernel_norm has already rejected any
-    diagonal with a bad imaginary residue or a nonpositive real part).
+def _normalized_kernel_matrix(space: SpaceId, pts,
+                              cfg: EvalConfig) -> tuple[list, list[float]]:
+    """G[l][j] = k_{pts[j]}(pts[l]) / (|k_j| |k_l|) as nested lists, and the
+    norms |k_j|, from one kernel_matrix call: each norm is the checked square
+    root of its own diagonal entry, and the upper triangle is divided in Python
+    complex arithmetic and mirrored, so G is Hermitian with diagonal exactly 1.
     """
-    n = len(seq)
-    if n > cap:
-        raise SizeError(f"sequence of {n} points exceeds cap {cap}")
-    pts = seq.points
-    norms = [kernel_norm(space, p, cfg) for p in pts]
+    n = len(pts)
     k = kernel_matrix(space, pts, pts, cfg).tolist()
+    norms = [_diagonal_norm(k[j][j], p) for j, p in enumerate(pts)]
     g = [[1.0 + 0.0j] * n for _ in range(n)]
     for l in range(n):
         for j in range(l + 1, n):
             g[l][j] = k[l][j] / (norms[j] * norms[l])
             g[j][l] = g[l][j].conjugate()
+    return g, norms
+
+
+def gram_matrix(space: SpaceId, seq: PointSequence,
+                cfg: EvalConfig = _DEFAULT_CFG,
+                cap: int = GRAM_SIZE_CAP) -> GramMatrix:
+    """Assemble the normalized Gram matrix for a point sequence.
+
+    One kernel_matrix call gives the entries and, from its own diagonal,
+    the norms; see _normalized_kernel_matrix and the module docstring.
+    """
+    n = len(seq)
+    if n > cap:
+        raise SizeError(f"sequence of {n} points exceeds cap {cap}")
+    g, norms = _normalized_kernel_matrix(space, seq.points, cfg)
     return GramMatrix(np.array(g, dtype=np.complex128), space, seq, tuple(norms))
 
 

@@ -242,17 +242,20 @@ def kernel_matrix(space: SpaceId, rows: Sequence[HalfPlanePoint],
                      for p in rows], dtype=np.complex128)
 
 
-def kernel_norm(space: SpaceId, w: HalfPlanePoint,
-                cfg: EvalConfig = _DEFAULT_CFG) -> float:
-    """sqrt of the kernel diagonal at w; the norm of the point evaluation."""
-    v = kernel_value(space, w, w, cfg)
+def _diagonal_norm(v: complex, w: HalfPlanePoint) -> float:
+    """sqrt of the kernel diagonal v = k_w(w); NumericalError naming w for an
+    imaginary residue of at least 1e-10 or a real part of at most 0."""
     if abs(v.imag) >= 1e-10:
-        raise NumericalError(
-            f"kernel diagonal at {w} has imaginary residue {v.imag:.3g}"
-        )
+        raise NumericalError(f"kernel diagonal at {w} has imaginary residue {v.imag:.3g}")
     if v.real <= 0:
         raise NumericalError(f"kernel diagonal at {w} is not positive: {v.real:.6g}")
     return math.sqrt(v.real)
+
+
+def kernel_norm(space: SpaceId, w: HalfPlanePoint,
+                cfg: EvalConfig = _DEFAULT_CFG) -> float:
+    """sqrt of the kernel diagonal at w; the norm of the point evaluation."""
+    return _diagonal_norm(kernel_value(space, w, w, cfg), w)
 
 
 def pseudohyperbolic_distance(s: HalfPlanePoint, w: HalfPlanePoint) -> float:

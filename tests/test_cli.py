@@ -18,7 +18,10 @@ from hypothesis import strategies as st
 import dirichlet_rkhs
 import dirichlet_rkhs.__main__
 from dirichlet_rkhs.cli import main, run
-from dirichlet_rkhs.embeddings import halfstrip_embedding_ratio, random_polynomial_corpus
+from dirichlet_rkhs import cli
+from dirichlet_rkhs.embeddings import (HALFSTRIP_DEGREE_CAP, LINE_DEGREE_CAP,
+                                       halfstrip_embedding_ratio,
+                                       random_polynomial_corpus)
 from dirichlet_rkhs.errors import DomainError
 from dirichlet_rkhs.parallel import map_ordered, worker_count
 from dirichlet_rkhs.spaces import DirichletPolynomial
@@ -191,6 +194,34 @@ def test_embedding_corpus_negative_alpha(capsys):
     assert _stderr_error(capsys)["error"] == "UsageError"
     assert run(["embedding", "--corpus-count", "0"]) == 2
     assert _stderr_error(capsys)["error"] == "UsageError"
+
+
+def test_embedding_corpus_length_refused_before_drawing(monkeypatch, capsys):
+    # an over-cap --max-degree is refused before any corpus is allocated
+    def never(*args):
+        raise AssertionError("corpus drawn for an over-cap length")
+
+    monkeypatch.setattr(cli, "random_polynomial_corpus", never)
+    for extra, cap in (([], LINE_DEGREE_CAP), (["--alpha", "0.5"], HALFSTRIP_DEGREE_CAP),
+                       (["--alpha", "-0.5"], HALFSTRIP_DEGREE_CAP)):
+        rc = run(["embedding", "--corpus-count", "100000",
+                  "--max-degree", str(cap + 1), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SizeError",
+            "message": f"polynomial length {cap + 1} exceeds cap {cap}"}
+
+
+def test_gram_reports_nonpositive_kernel_diagonal(fixtures_dir, capsys):
+    # the printed alpha = 1 kernel is negative on the diagonal at sigma = 1
+    rc = run(["gram", "--space", "d_alpha", "--alpha", "1",
+              "--points", f"{fixtures_dir}/geometric.json"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    obj = json.loads(captured.err)
+    assert obj["error"] == "NumericalError"
+    assert "HalfPlanePoint(sigma=1.0, t=0.0)" in obj["message"]
 
 
 def test_blaschke_method_needs_hardy_space(fixtures_dir, capsys):

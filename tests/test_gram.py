@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
-from dirichlet_rkhs.errors import IllConditionedError, SizeError
+from dirichlet_rkhs.diagnostics import gershgorin_split
+from dirichlet_rkhs.errors import IllConditionedError, NumericalError, SizeError
 from dirichlet_rkhs.gram import (GramMatrix, eigenvalues, gram_matrix,
                                  smallest_eigenvalue, solve_hermitian_pd)
+from dirichlet_rkhs.interpolation import min_norm_interpolant
 from dirichlet_rkhs.spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET,
                                    HARDY_HALF_PLANE, WEIGHTED_DIRICHLET,
-                                   HalfPlanePoint, PointSequence, SpaceId)
+                                   HalfPlanePoint, PointSequence, SpaceId,
+                                   kernel_norm, kernel_value)
+from dirichlet_rkhs.zeta import EvalConfig
 
 H = SpaceId(HARDY_DIRICHLET)
 H2 = SpaceId(HARDY_HALF_PLANE)
@@ -82,7 +86,6 @@ def test_gram_assembly_structure():
     assert np.array_equal(g.entries, g.entries.conj().T)
     assert not g.entries.flags.writeable
     # entry (l, j) is the normalized kernel pairing
-    from dirichlet_rkhs.spaces import kernel_norm, kernel_value
     v = kernel_value(H2, seq.points[1], seq.points[0])
     v /= kernel_norm(H2, seq.points[1]) * kernel_norm(H2, seq.points[0])
     assert g.entries[0, 1] == v
@@ -97,20 +100,73 @@ def test_halfplane_nodes_regression():
     assert abs(lam - float(np.linalg.eigvalsh(g.entries)[0])) < 1e-10
 
 
-@pytest.mark.parametrize("space", [
+_PSD_SPACES = (
     H,
     SpaceId(WEIGHTED_DIRICHLET, -1.0),
     SpaceId(WEIGHTED_DIRICHLET, 0.5),
     H2,
     SpaceId(BERGMAN_DIRICHLET, -1.0),
     SpaceId(BERGMAN_DIRICHLET, 0.5),
-])
+)
+
+
+@pytest.mark.parametrize("space", _PSD_SPACES)
 def test_gram_positive_semidefinite(space):
     rng = np.random.default_rng(17)
     pts = tuple(HalfPlanePoint(rng.uniform(0.7, 2.5), rng.uniform(-4.0, 4.0))
                 for _ in range(5))
     g = gram_matrix(space, PointSequence(pts))
     assert smallest_eigenvalue(g) >= -1e-9
+
+
+def _bits(v) -> bytes:
+    return np.complex128(v).tobytes()
+
+
+# heights within +-40, one point at t = 1000.3, and sigma = 1/2 + 2^-12,
+# where every series diagonal sits at Re z = 1 + 2^-11
+_MIXED = PointSequence(tuple(HalfPlanePoint(sg, tt) for sg, tt in (
+    (0.5 + 2.0 ** -12, 3.0), (0.8, -40.0), (1.7, 12.5), (3.0, 39.0),
+    (1.1, 25.0), (2.2, -17.0), (0.7, 0.0), (0.6, 1000.3))))
+
+
+@pytest.mark.parametrize("space", _PSD_SPACES + (SpaceId(WEIGHTED_DIRICHLET, 1.0),))
+def test_gram_norms_match_kernel_norm(space):
+    # the norms are square roots of the kernel matrix's own diagonal
+    cfg = EvalConfig()
+    g = gram_matrix(space, _MIXED, cfg)
+    pts = _MIXED.points
+    want = [kernel_norm(space, p, cfg) for p in pts]
+    if space.family in (HARDY_DIRICHLET, WEIGHTED_DIRICHLET):
+        # both diagonals are within tol of the exact value, and
+        # |sqrt(a) - sqrt(b)| <= |a - b| / (sqrt(a) + sqrt(b))
+        for got, ref in zip(g.norms, want):
+            assert abs(got - ref) <= 2.0 * cfg.tol / (got + ref), (got, ref)
+        return
+    assert g.norms == tuple(want)
+    for l in range(g.n):
+        assert _bits(g.entries[l, l]) == _bits(1.0)
+        for j in range(l + 1, g.n):
+            v = kernel_value(space, pts[j], pts[l], cfg) / (want[j] * want[l])
+            assert _bits(g.entries[l, j]) == _bits(v), (l, j)
+            assert _bits(g.entries[j, l]) == _bits(v.conjugate()), (l, j)
+
+
+def test_nonpositive_diagonal_raises_naming_the_point():
+    # the printed alpha = 1 kernel has a negative diagonal on the real axis
+    # below sigma = 3/2; every Gram consumer raises kernel_norm's error
+    d1 = SpaceId(BERGMAN_DIRICHLET, 1.0)
+    bad = HalfPlanePoint(1.2, 0.0)
+    seq = PointSequence((HalfPlanePoint(2.0, 0.0), bad, HalfPlanePoint(2.5, 0.0)))
+    with pytest.raises(NumericalError) as ref:
+        kernel_norm(d1, bad)
+    assert repr(bad) in str(ref.value)
+    for build in (lambda: gram_matrix(d1, seq),
+                  lambda: gershgorin_split(d1, seq, 0.3),
+                  lambda: min_norm_interpolant(d1, seq, (1.0, 0.0, 1.0j))):
+        with pytest.raises(NumericalError) as exc:
+            build()
+        assert str(exc.value) == str(ref.value)
 
 
 def test_limit_kernel_gram_not_positive():
