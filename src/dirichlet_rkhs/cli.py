@@ -20,13 +20,12 @@ from .embeddings import (_check_length, halfstrip_embedding_ratios,
 from .errors import DirichletRkhsError, DomainError
 from .gram import gram_matrix, smallest_eigenvalue
 from .interpolation import build_blaschke, finite_interpolant, min_norm_interpolant
-from .parallel import map_ordered, worker_count
 from .serialize import (emit_csv, emit_json, load_complex_list, load_point_sequence,
                         parse_complex_pair)
 from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, DirichletPolynomial, HalfPlanePoint, SpaceId,
                      kernel_norm, kernel_value, pseudohyperbolic_distance)
-from .zeta import EvalConfig, WeightedZetaParams, eval_gamma, eval_weighted_zeta
+from .zeta import EvalConfig, WeightedZetaParams, eval_gamma, eval_weighted_zeta_outer
 
 _SPACE_NAMES = {
     "h": HARDY_DIRICHLET,
@@ -180,14 +179,18 @@ def _cmd_blaschke(args):
 def _cmd_asymptotics(args):
     if args.alpha > 1.0:
         raise UsageError("--alpha must be at most 1")
-    cfg = _config(args)
     params = WeightedZetaParams(args.alpha)
+    # s = 1 + 10^-k rounds to 1, outside the series' domain, from k = 16 on,
+    # so the rows stop there and a large --kmax fails at once; all rows are
+    # one column of the series' outer form, at w = 0
+    ks = range(1, min(args.kmax, 16) + 1)
+    values = eval_weighted_zeta_outer(params, [1.0 + 10.0 ** (-k) for k in ks], [0j],
+                                      _config(args))[:, 0]
     out_rows = []
     csv_rows = []
-    for k in range(1, args.kmax + 1):
+    for k, value in zip(ks, values):
         eps = 10.0 ** (-k)
-        s = 1.0 + eps
-        value = eval_weighted_zeta(params, s, cfg)
+        value = complex(value)
         if args.alpha == 1.0:
             main = math.log(1.0 / eps)
         else:
@@ -221,15 +224,9 @@ def _cmd_embedding(args):
                                  "must be at least 2")
             polys = [DirichletPolynomial((0j,) + f.coeffs[1:]) for f in polys]
     if args.alpha is None:
-        def ratios(part):
-            return line_embedding_ratios(part, args.theta)
+        results = line_embedding_ratios(polys, args.theta)
     else:
-        def ratios(part):
-            return halfstrip_embedding_ratios(part, args.theta, args.alpha)
-    # one contiguous share of the corpus per worker, each with its own pair table
-    step = -(-len(polys) // worker_count())
-    shares = [polys[i:i + step] for i in range(0, len(polys), step)]
-    results = [r for share in map_ordered(ratios, shares) for r in share]
+        results = halfstrip_embedding_ratios(polys, args.theta, args.alpha)
     rows = [[args.theta, args.alpha, f.degree, r.ratio]
             for f, r in zip(polys, results)]
     if len(results) == 1:

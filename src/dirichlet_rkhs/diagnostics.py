@@ -23,7 +23,7 @@ from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
                      WEIGHTED_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
                      pseudohyperbolic_distance)
 from .zeta import (EvalConfig, WeightedZetaParams, _weight_term_derivs,
-                   eval_weighted_zeta, eval_zeta)
+                   eval_weighted_zeta_outer, eval_zeta_outer)
 
 _DEFAULT_CFG = EvalConfig()
 
@@ -361,8 +361,9 @@ def almost_periodicity_probe(space: SpaceId, s: HalfPlanePoint, t_max: float,
     By vertical invariance of the norms the correlation equals
     |diagonal series at 2 sigma + i tau| / (value at 2 sigma).  The scan
     uses a vectorized truncated-series surrogate on a grid resolving the
-    dominant near-periods, then re-verifies candidates with the exact
-    evaluators; only exactly-verified tau values are returned.
+    dominant near-periods, then re-verifies each candidate's fine grid with
+    one call of the exact series evaluator; only exactly-verified tau values
+    are returned.
     """
     if space.family == HARDY_DIRICHLET:
         alpha = 0.0
@@ -377,13 +378,14 @@ def almost_periodicity_probe(space: SpaceId, s: HalfPlanePoint, t_max: float,
         raise DomainError(f"probe window caps at 1e5, got {t_max}")
     sigma2 = 2.0 * s.sigma
 
-    def exact(tau: float) -> float:
-        z = sigma2 + 1j * tau
+    def exact(taus: np.ndarray) -> np.ndarray:
+        # the series at each sigma2 + i tau: one column of the outer form, at w = 0
+        z = sigma2 + 1j * taus
         if alpha == 0.0:
-            return abs(eval_zeta(z, cfg))
-        return abs(eval_weighted_zeta(WeightedZetaParams(alpha), z, cfg))
+            return np.abs(eval_zeta_outer(z, [0j], cfg)[:, 0])
+        return np.abs(eval_weighted_zeta_outer(WeightedZetaParams(alpha), z, [0j], cfg)[:, 0])
 
-    z0 = exact(0.0)
+    z0 = float(exact(np.zeros(1))[0])
     margin = 4e-3
     chunk = 4096
     tau_lo = 1.0
@@ -399,8 +401,9 @@ def almost_periodicity_probe(space: SpaceId, s: HalfPlanePoint, t_max: float,
         for idx in np.nonzero(vals >= target_corr - margin)[0]:
             center = float(taus[idx])
             fine = np.arange(center - 0.6 * step, center + 0.6 * step, step / 40.0)
-            for tf in fine:
-                if tf > 1.0 and tf <= t_max and exact(float(tf)) / z0 >= target_corr:
-                    return float(tf)
+            fine = fine[(fine > 1.0) & (fine <= t_max)]
+            hits = np.nonzero(exact(fine) / z0 >= target_corr)[0]
+            if hits.size:
+                return float(fine[hits[0]])
         tau_lo = float(taus[-1])
     return None

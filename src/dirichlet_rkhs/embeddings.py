@@ -23,6 +23,8 @@ from .zeta import eval_gamma
 
 LINE_DEGREE_CAP = 10_000
 HALFSTRIP_DEGREE_CAP = 1_000
+# coefficients in one random corpus: about 38 MB of Python complex tuples
+_CORPUS_COEFFICIENT_CAP = 10**6
 
 # beyond this height every n >= 2 term of the integrand is below 1e-16
 STRIP_CUTOFF = 60.0 / math.log(2.0)
@@ -308,12 +310,17 @@ def random_polynomial_corpus(count: int, max_degree: int,
     Every element has exactly max_degree coefficients, drawn as standard
     complex Gaussians (real and imaginary parts N(0,1)/sqrt(2)) scaled by
     1/sqrt(max_degree), so the expected squared coefficient norm is 1.
-    The same seed always reproduces the same corpus.
+    The same seed always reproduces the same corpus.  More than
+    _CORPUS_COEFFICIENT_CAP coefficients in all is a SizeError, raised
+    before anything is drawn.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
     if max_degree < 1:
         raise DomainError("max_degree must be at least 1")
+    if count * max_degree > _CORPUS_COEFFICIENT_CAP:
+        raise SizeError(f"corpus of {count} x {max_degree} coefficients exceeds cap "
+                        f"{_CORPUS_COEFFICIENT_CAP}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(2.0 * max_degree)
     out = []

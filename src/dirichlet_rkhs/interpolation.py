@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DomainError, ExhaustionError, NumericalError, SizeError
 from .gram import gram_matrix, solve_hermitian_pd
 from .spaces import (HARDY_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
-                     kernel_matrix, kernel_norm)
-from .zeta import EvalConfig
+                     _diagonal_norm, kernel_matrix)
+from .zeta import EvalConfig, eval_zeta_outer
 
 _DEFAULT_CFG = EvalConfig()
 
@@ -209,12 +209,15 @@ def finite_interpolant(nodes: PointSequence, targets,
             )
         coeffs.append(a / bj)
     space = SpaceId(HARDY_DIRICHLET)
+    # |k_j|^2 = zeta(2 sigma_j) for all nodes in one call: one column of the
+    # series' outer form, at w = 0, whose length does not grow with the heights
+    diag = eval_zeta_outer([2.0 * p.sigma for p in nodes.points], [0j], cfg)[:, 0]
+    norms = [_diagonal_norm(complex(v), p) for v, p in zip(diag, nodes.points)]
     interp = Interpolant(
         space=space, nodes=nodes, coefficients=tuple(coeffs),
         representation=BLASCHKE_LAGRANGE, targets=targets,
         residuals=(),
-        admissibility=_admissibility(
-            targets, [kernel_norm(space, p, cfg) for p in nodes.points]),
+        admissibility=_admissibility(targets, norms),
         blaschke=blaschke,
     )
     residuals = tuple(abs(interp.evaluate(p.as_complex, cfg) - a)

@@ -1,4 +1,6 @@
-"""Thread-pool helpers for corpus sweeps and probe grids.
+"""Thread-pool helpers.  No library module uses them: only the benchmark
+harness (perfbench/tracing.py and perfbench/baselines.py) imports this
+module, by name, so it goes when they are updated (ROADMAP item 2).
 
 All library operations are pure, so ordinary thread mapping is safe; results
 are always returned in input order regardless of completion order.  The

@@ -15,8 +15,11 @@ Five kernel families are supported:
 
 The alpha = 1 limit kernel is implemented with the published prefactors
 verbatim.  Those prefactors are not conjugate-symmetric in (w, s), so this
-one family is not Hermitian as printed and its diagonal is negative for
-sigma < 3/2; callers that need a norm there will get a NumericalError.
+one family is not Hermitian as printed: its diagonal is negative for
+sigma < 3/2, and it is not real off the real axis (its imaginary part is
+0.0714 at 2.5 - i).  Callers that need a norm at such a point, such as a
+Gram matrix, a split or a min-norm interpolant, get a NumericalError, so
+only real points with sigma > 3/2 have one.
 Tests pin the usable characterization instead: the kernel equals
 log 1/(s + conj(w) - 1) plus a term bounded on bounded sets.
 """

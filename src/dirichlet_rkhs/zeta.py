@@ -14,11 +14,12 @@ singular part without catastrophic cancellation by folding the subtraction
 into the tail integral (a lower-incomplete-gamma series), so they stay
 accurate arbitrarily close to s = 1.
 
-The outer-form evaluators eval_zeta_outer and eval_weighted_zeta_outer
-give the same series at every s_l + conj(w_j) of two point lists, as
-matrix products with one series length N and one quadrature grid for the
-whole matrix; each entry meets the scalar truncation budget, and the
-products add rounding of about N u sum |terms| (see the section below).
+Each series has one evaluator, over every s_l + conj(w_j) of two lists
+of points with one series length N and one quadrature grid (see the
+section "the series over an array of points"); eval_zeta_outer and
+eval_weighted_zeta_outer are its public forms.  A plain list of points
+z_k is the n x 1 form with w = [0].  The scalar entry points are one-point
+calls of it that add their pole or tail term in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -90,20 +91,12 @@ class WeightedZetaParams:
 _DEFAULT_CFG = EvalConfig()
 
 
-def _rising(s: complex, m: int) -> complex:
-    """s (s+1) ... (s+m-1)."""
-    out = 1.0 + 0.0j
-    for j in range(m):
-        out *= s + j
-    return out
-
-
-def _em_truncation_bound(s: complex, n: int, order: int) -> float:
+def _em_truncation_bound(s: np.ndarray, n: np.ndarray, order: int) -> np.ndarray:
     """Upper bound on the dropped Euler-Maclaurin remainder for x^-s tails.
 
     The remainder after `order` Bernoulli terms is bounded by the first
-    omitted term times |s + 2q + 1| / (sigma + 2q + 1).  s and n may be
-    numpy arrays (elementwise).
+    omitted term times |s + 2q + 1| / (sigma + 2q + 1), elementwise over
+    the arrays s and n.
     """
     sigma = s.real
     q = order
@@ -112,37 +105,128 @@ def _em_truncation_bound(s: complex, n: int, order: int) -> float:
     for j in range(2 * q + 1):
         prod *= abs(s + j)
     scale = abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
-    floor = np.maximum(1.0, scale) if isinstance(scale, np.ndarray) else max(1.0, scale)
-    return lead * prod * n ** (-(sigma + 2 * q + 1)) * floor
+    return lead * prod * n ** (-(sigma + 2 * q + 1)) * np.maximum(1.0, scale)
 
 
-def _choose_em_length(s: complex, cfg: EvalConfig, budget: float) -> int:
-    if not cmath.isfinite(s):
-        raise DomainError(f"series length needs a finite s, got {s}")
-    n = max(16, int(abs(s.imag) / 3) + 1)
-    while n <= cfg.max_terms:
-        if _em_truncation_bound(s, n, cfg.em_order) <= budget:
-            return n
-        n *= 2
-    raise ConvergenceError(
-        f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
-        f"max_terms={cfg.max_terms} at s={s}"
-    )
+def _bernoulli_tail(s: np.ndarray, n: int, order: int) -> np.ndarray:
+    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(-s-2k+1), elementwise over s.
 
-
-def _power_sum(s: complex, n_last: int) -> complex:
-    """sum_{n=1}^{n_last} n^-s via a vectorised power evaluation."""
-    n = np.arange(1, n_last + 1, dtype=np.float64)
-    return complex(np.sum(n ** (-complex(s))))
-
-
-def _bernoulli_tail(s: complex, n: int, order: int) -> complex:
-    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(-s-2k+1); s may be an array."""
+    The rising product gains two factors per k, multiplied in the order
+    that a product built afresh for each k would use.
+    """
     total = 0.0 + 0.0j
+    rising = 1.0 + 0.0j
     for k in range(1, order + 1):
+        for j in range(max(0, 2 * k - 3), 2 * k - 1):
+            rising = rising * (s + j)
         coeff = _BERNOULLI[k] / math.factorial(2 * k)
-        total += coeff * _rising(s, 2 * k - 1) * n ** (-s - (2 * k - 1))
+        total += coeff * rising * n ** (-s - (2 * k - 1))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the series over an array of points
+# ---------------------------------------------------------------------------
+#
+# Each series is evaluated over an array of points z with one length N, the
+# largest that the doubling rule picks for any point (re-checked for every
+# point at that N), and one quadrature grid, so every point meets the
+# truncation budgets.  The points are the pairwise sums z = s_l + conj(w_j)
+# that the kernel matrices of the Dirichlet-series spaces need (a plain list
+# z_k is the column w = [0]).  Since n^-(s_l + conj(w_j)) = n^-s_l
+# conj(n^-w_j), a truncated sum with weights c_n over the pairwise sums is
+# the product A diag(c) B^H with A[l, n] = n^-s_l and B[j, n] = n^-w_j; so
+# is the shift-correction quadrature on its nodes x.  Each product adds rounding
+# of at most about N u sum_n |c_n n^-Re z| (u the unit roundoff) to an
+# entry, and the phases of A and B are rounded separately, which adds about
+# (|Im s_l| + |Im w_j|) log N u per term.
+
+# slice length along the term and node axes, so that no intermediate array
+# holds more than (number of points) x _SLICE entries
+_SLICE = 1024
+
+
+def _outer_sum(s: np.ndarray, w: np.ndarray, log_x: np.ndarray,
+               weights: np.ndarray) -> np.ndarray:
+    """sum_i weights_i x_i^-(s_l + conj(w_j)) for all l, j, sliced along i.
+
+    w may be the very array s, which then serves for both factors.
+    """
+    out = np.zeros((len(s), len(w)), dtype=np.complex128)
+    for lo in range(0, len(log_x), _SLICE):
+        lg = log_x[lo:lo + _SLICE]
+        a = np.exp(np.multiply.outer(-s, lg))
+        b = a if w is s else np.exp(np.multiply.outer(-w, lg))
+        out += (a * weights[lo:lo + _SLICE]) @ b.conj().T
+    return out
+
+
+def _shared_length(z: np.ndarray, div: float, bound, cfg: EvalConfig,
+                   budget: float, failure) -> int:
+    """One series length for all of z.
+
+    Each entry starts at max(16, floor(|Im z| / div) + 1) and doubles until
+    bound(z, n) <= budget; the largest of these lengths is then checked for
+    every entry, and the doubling goes on until all entries meet the budget
+    at one length.  failure(z_k) is the ConvergenceError message for an
+    entry whose length would pass cfg.max_terms.
+    """
+    if not np.all(np.isfinite(z)):
+        raise DomainError(f"series length needs a finite s, got {z[~np.isfinite(z)][0]}")
+    # clipped at max_terms, which is over the cap anyway, because the int64
+    # cast overflows once |Im z| passes about 2e19
+    n = np.maximum(16, np.minimum(np.abs(z.imag) / div, cfg.max_terms).astype(np.int64) + 1)
+    while True:
+        over_cap = n > cfg.max_terms
+        if over_cap.any():
+            raise ConvergenceError(failure(complex(z[over_cap][0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not met
+            over = ~(bound(z, n) <= budget)
+        if over.any():
+            n = np.where(over, 2 * n, n)
+        elif n.min() < n.max():
+            n = np.full(n.shape, n.max())
+        else:
+            return int(n.flat[0])
+
+
+def _series_points(s, w, name: str):
+    """(s, w, z) as complex arrays with z = s_l + conj(w_j); w stays the
+    very array s when it was given as s."""
+    same = w is s
+    s = np.asarray(s, dtype=np.complex128)
+    w = s if same else np.asarray(w, dtype=np.complex128)
+    z = np.add.outer(s, np.conj(w))
+    bad = ~(np.isfinite(z) & (z.real > 1.0))
+    if bad.any():
+        raise DomainError(f"{name} needs finite s + conj(w) with real part > 1, got {z[bad][0]}")
+    return s, w, z
+
+
+def _one_point(s: complex):
+    """(s, w, z) for the series at the single point s, unchecked: the 1 x 1
+    form with w = [0], whose entry is s + conj(0) = s."""
+    a = np.array([s])
+    return a, np.zeros(1, dtype=np.complex128), a[:, None]
+
+
+def _zeta_series(s: np.ndarray, w, z: np.ndarray, cfg: EvalConfig,
+                 pole=None) -> np.ndarray:
+    """eval_zeta's formula at every z = s_l + conj(w_j) with one N: the
+    sum over n <= N, then pole(N) - N^-z/2, then the Bernoulli terms.
+    pole(n) defaults to n^(1-z)/(z-1); it is added in that place because the
+    kernel matrices' last bits depend on the order of the sums."""
+    if z.size == 0:
+        return np.zeros(z.shape, dtype=np.complex128)
+    n = _shared_length(
+        z, 3, lambda zz, nn: _em_truncation_bound(zz, nn, cfg.em_order), cfg,
+        0.5 * cfg.tol,
+        lambda zk: f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
+                   f"max_terms={cfg.max_terms} at s={zk}")
+    terms = np.arange(1, n + 1, dtype=np.float64)
+    out = _outer_sum(s, w, np.log(terms), np.ones(n))
+    out += (n ** (1 - z) / (z - 1) if pole is None else pole(n)) - 0.5 * n ** (-z)
+    return out + _bernoulli_tail(z, n, cfg.em_order)
 
 
 def eval_zeta(s: complex, cfg: EvalConfig = _DEFAULT_CFG) -> complex:
@@ -156,10 +240,7 @@ def eval_zeta(s: complex, cfg: EvalConfig = _DEFAULT_CFG) -> complex:
         raise DomainError(f"eval_zeta needs Re s > 0, got {s}")
     if abs(s - 1) < 1e-14:
         raise PoleError(f"s={s} is within the guard radius of the pole at 1")
-    n = _choose_em_length(s, cfg, 0.5 * cfg.tol)
-    partial = _power_sum(s, n)
-    tail = n ** (1 - s) / (s - 1) - 0.5 * n ** (-s)
-    return partial + tail + _bernoulli_tail(s, n, cfg.em_order)
+    return complex(_zeta_series(*_one_point(s), cfg)[0, 0])
 
 
 def _expm1_ratio(w: complex) -> complex:
@@ -187,11 +268,21 @@ def eval_zeta_remainder(z: complex, cfg: EvalConfig = _DEFAULT_CFG) -> complex:
     z = complex(z)
     if z.real <= 0:
         raise DomainError(f"eval_zeta_remainder needs Re z > 0, got {z}")
-    n = _choose_em_length(z, cfg, 0.5 * cfg.tol)
-    log_n = math.log(n)
-    partial = _power_sum(z, n)
-    pole_free = -log_n * _expm1_ratio((1 - z) * log_n)
-    return partial + pole_free - 0.5 * n ** (-z) + _bernoulli_tail(z, n, cfg.em_order)
+
+    def pole_free(n: int) -> complex:
+        log_n = math.log(n)
+        return -log_n * _expm1_ratio((1 - z) * log_n)
+
+    return complex(_zeta_series(*_one_point(z), cfg, pole_free)[0, 0])
+
+
+def eval_zeta_outer(s, w, cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
+    """Z[l, j] = zeta(s_l + conj(w_j)) for Re(s_l + conj(w_j)) > 1.
+
+    eval_zeta's Euler-Maclaurin formula with one N for the whole matrix;
+    each entry is within cfg.tol of eval_zeta at the same point.
+    """
+    return _zeta_series(*_series_points(s, w, "eval_zeta_outer"), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +383,6 @@ def eval_upper_gamma(a: float, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _weight_partial_sum(alpha: float, s: complex, n_excl: int) -> complex:
-    """sum_{n=1}^{n_excl - 1} n^-s log(n+1)^-alpha."""
-    if n_excl <= 1:
-        return 0.0 + 0.0j
-    n = np.arange(1, n_excl, dtype=np.float64)
-    return complex(np.sum(n ** (-complex(s)) * np.log(n + 1.0) ** (-alpha)))
-
-
 def _weight_term_derivs(alpha: float, s, x: float):
     """g, g', g''' for g(x) = x^-s log(x+1)^-alpha at real x.
 
@@ -325,17 +408,17 @@ def _weight_term_derivs(alpha: float, s, x: float):
     return g, g1, g3
 
 
-def _weighted_trunc_bound(alpha: float, s: complex, n: int, order: int) -> float:
+def _weighted_trunc_bound(alpha: float, s: np.ndarray, n: np.ndarray,
+                          order: int) -> np.ndarray:
     """Majorant for the first omitted Euler-Maclaurin term of the weighted tail.
 
     order is the number of derivative corrections retained (1 -> g',
-    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).  s and
-    n may be numpy arrays (elementwise).
+    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).
+    Elementwise over the arrays s and n.
     """
     sigma = s.real
     k = 2 * order + 1  # derivative order of the first omitted term
-    log = np.log if isinstance(n, np.ndarray) else math.log
-    lg_lo, lg_hi = log(n), log(n + 1.0)
+    lg_lo, lg_hi = np.log(n), np.log(n + 1.0)
     lfac = lg_hi**-alpha if alpha <= 0 else lg_lo**-alpha
     prod = 1.0
     for j in range(k):
@@ -353,238 +436,18 @@ def _log_shift_delta(alpha: float, x: np.ndarray) -> np.ndarray:
     return lg0**-alpha * np.expm1(-alpha * np.log1p(np.log1p(1.0 / x) / lg0))
 
 
-def _shift_correction_integral(alpha: float, s: complex, n: int, tol: float) -> complex:
-    """integral_n^inf x^-s (log(x+1)^-alpha - log(x)^-alpha) dx.
+def _shift_correction(alpha: float, s: np.ndarray, w, z: np.ndarray, n: int,
+                      tol: float) -> np.ndarray:
+    """integral_n^inf x^-z (log(x+1)^-alpha - log(x)^-alpha) dx at every
+    z = s_l + conj(w_j), on one grid.
 
     Substituting x = n e^v turns the domain into [0, inf); the integrand
-    decays like e^(-sigma v) and oscillates at frequency |Im s|, so a
-    composite 8-point Gauss-Legendre rule with phase-resolving panels is
-    accurate to far below tol.  Blocks of the v-axis are added until their
-    contribution is negligible.
-    """
-    if alpha == 0.0:
-        return 0.0 + 0.0j
-    sigma = s.real
-    freq = abs(s.imag) + 1.0
-    h = min(0.5, 2.0 * math.pi / (4.0 * freq))
-    block = 5.0 / min(sigma, 2.0)
-    panels_per_block = max(1, math.ceil(block / h))
-    one_minus_s = 1.0 - s
-
-    total = 0.0 + 0.0j
-    v_lo = 0.0
-    for _ in range(64):
-        edges = v_lo + (block / panels_per_block) * np.arange(panels_per_block + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        v = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-        x = n * np.exp(v)
-        vals = np.exp(one_minus_s * v) * _log_shift_delta(alpha, x)
-        contrib = complex(np.sum((vals * np.tile(_GL_WEIGHTS, panels_per_block)))) * half
-        contrib *= n ** complex(1.0 - s)
-        total += contrib
-        v_lo += block
-        if abs(contrib) < 0.05 * tol:
-            return total
-    raise ConvergenceError(
-        f"shift correction integral did not settle for alpha={alpha}, s={s}"
-    )
-
-
-def _choose_weighted_length(alpha: float, s: complex, cfg: EvalConfig, order: int,
-                            budget: float) -> int:
-    if not cmath.isfinite(s):
-        raise DomainError(f"series length needs a finite s, got {s}")
-    n = max(16, int(abs(s.imag) / 2) + 1)
-    while n <= cfg.max_terms:
-        try:
-            if _weighted_trunc_bound(alpha, s, n, order) <= budget:
-                return n
-        except OverflowError:  # a large |alpha|: the bound passes double range
-            pass
-        n *= 2
-    raise ConvergenceError(
-        f"weighted tail cannot reach tol={cfg.tol} within "
-        f"max_terms={cfg.max_terms} at alpha={alpha}, s={s}"
-    )
-
-
-def _weighted_regular_part(alpha: float, s: complex, cfg: EvalConfig):
-    """Everything except the log-power tail integral.
-
-    Returns (value, n) with value = partial sum + endpoint + Bernoulli
-    corrections + shift-correction integral; the remaining tail piece is
-    integral_n^inf x^-s log(x)^-alpha dx = (s-1)^(alpha-1) Gamma(1-alpha, w),
-    w = (s-1) log n.
-    """
-    order = min(cfg.em_order, 2)
-    n = _choose_weighted_length(alpha, s, cfg, order, cfg.tol / 3.0)
-    partial = _weight_partial_sum(alpha, s, n)
-    g, g1, g3 = _weight_term_derivs(alpha, s, float(n))
-    endpoint = 0.5 * g - g1 / 12.0
-    if order >= 2:
-        endpoint += g3 / 720.0
-    corr = _shift_correction_integral(alpha, s, n, cfg.tol / 3.0)
-    return partial + endpoint + corr, n
-
-
-def eval_weighted_zeta(p: WeightedZetaParams, s: complex,
-                       cfg: EvalConfig = _DEFAULT_CFG) -> complex:
-    """sum_{n>=1} n^-s log(n+1)^-alpha for Re s > 1.
-
-    Truncated sum plus Euler-Maclaurin endpoint corrections plus a tail
-    integral in closed form through the upper incomplete gamma function.
-    """
-    s = complex(s)
-    if s.real <= 1:
-        raise DomainError(f"eval_weighted_zeta needs Re s > 1, got {s}")
-    regular, n = _weighted_regular_part(p.alpha, s, cfg)
-    w = (s - 1) * math.log(n)
-    if p.alpha == 1.0:
-        tail = _exp_integral_e1(w)
-    else:
-        a = 1.0 - p.alpha
-        tail = (s - 1) ** complex(p.alpha - 1) * eval_upper_gamma(a, w)
-    return regular + tail
-
-
-def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
-                            cfg: EvalConfig = _DEFAULT_CFG) -> complex:
-    """Weighted zeta minus its singular part, stable down to z -> 1.
-
-    For alpha < 1 the singular part is gamma(1-alpha) (z-1)^(alpha-1); for
-    alpha = 1 it is log 1/(z-1).  Near z = 1 the subtraction is folded into
-    the tail integral: the difference Gamma(a, w) - Gamma(a) is the lower
-    incomplete gamma at w = (z-1) log N, whose series cancels the (z-1)
-    powers exactly, so no large quantities are ever subtracted.
-    """
-    z = complex(z)
-    if z.real <= 1:
-        raise DomainError(f"eval_weighted_remainder needs Re z > 1, got {z}")
-    alpha = p.alpha
-    regular, n = _weighted_regular_part(alpha, z, cfg)
-    log_n = math.log(n)
-    w = (z - 1) * log_n
-    if alpha == 1.0:
-        if abs(w) <= 1.5:
-            # E_1(w) + log(z-1) = -euler_gamma - log log n + sum (-1)^(k+1) w^k/(k k!)
-            series = 0.0 + 0.0j
-            term = 1.0 + 0.0j
-            for k in range(1, _MAX_SPECIAL_ITER):
-                term *= -w / k
-                series -= term / k
-                if abs(term) < 1e-18:
-                    break
-            return regular - EULER_GAMMA - math.log(log_n) + series
-        return regular + _exp_integral_e1(w) + cmath.log(z - 1)
-    a = 1.0 - alpha
-    if abs(w) < a + 1.0:
-        folded = log_n**a * cmath.exp(-w) * _lower_gamma_series(a, w)
-        return regular - folded
-    lead = eval_gamma(a) * (z - 1) ** complex(alpha - 1)
-    return regular + (z - 1) ** complex(alpha - 1) * eval_upper_gamma(a, w) - lead
-
-
-# ---------------------------------------------------------------------------
-# outer form: every z = s_l + conj(w_j) of two point lists at once
-# ---------------------------------------------------------------------------
-#
-# The kernel matrices of the Dirichlet-series spaces need the series at all
-# pairwise sums z = s_l + conj(w_j).  Since n^-(s_l + conj(w_j)) =
-# n^-s_l conj(n^-w_j), a truncated sum with weights c_n is the product
-# A diag(c) B^H with A[l, n] = n^-s_l and B[j, n] = n^-w_j; so is the
-# shift-correction quadrature on its nodes x.  The whole matrix shares one
-# length N, the largest that the scalar doubling rule picks for any entry
-# (re-checked for every entry at that N), and one quadrature grid, so every
-# entry meets the scalar truncation budgets.  The values are not bitwise
-# those of the scalar evaluators: each product adds rounding of at most
-# about N u sum_n |c_n n^-Re z| (u the unit roundoff) to an entry, and the
-# phases of A and B are rounded separately, which adds about
-# (|Im s_l| + |Im w_j|) log N u per term.
-
-# slice length along the term and node axes, so that no intermediate array
-# holds more than (number of points) x _SLICE entries
-_SLICE = 1024
-
-
-def _outer_sum(s: np.ndarray, w: np.ndarray, log_x: np.ndarray,
-               weights: np.ndarray) -> np.ndarray:
-    """sum_i weights_i x_i^-(s_l + conj(w_j)) for all l, j, sliced along i.
-
-    w may be the very array s, which then serves for both factors.
-    """
-    out = np.zeros((len(s), len(w)), dtype=np.complex128)
-    for lo in range(0, len(log_x), _SLICE):
-        lg = log_x[lo:lo + _SLICE]
-        a = np.exp(np.multiply.outer(-s, lg))
-        b = a if w is s else np.exp(np.multiply.outer(-w, lg))
-        out += (a * weights[lo:lo + _SLICE]) @ b.conj().T
-    return out
-
-
-def _shared_length(z: np.ndarray, n: np.ndarray, bound, cfg: EvalConfig,
-                   budget: float, failure) -> int:
-    """One series length for all of z.
-
-    Each entry doubles its own start length n until bound(z, n) <= budget,
-    as the scalar rule does; the largest of these is then checked for every
-    entry, and the doubling goes on until all entries meet the budget at
-    one length.  failure(z_k) is the ConvergenceError message for an entry
-    whose length would pass cfg.max_terms.
-    """
-    while True:
-        over_cap = n > cfg.max_terms
-        if over_cap.any():
-            raise ConvergenceError(failure(complex(z[over_cap][0])))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not met
-            over = ~(bound(z, n) <= budget)
-        if over.any():
-            n = np.where(over, 2 * n, n)
-        elif n.min() < n.max():
-            n = np.full(n.shape, n.max())
-        else:
-            return int(n.flat[0])
-
-
-def _pair_sums(s, w, name: str):
-    """(s, w, z) as complex arrays with z = s_l + conj(w_j); w stays the
-    very array s when it was given as s."""
-    same = w is s
-    s = np.asarray(s, dtype=np.complex128)
-    w = s if same else np.asarray(w, dtype=np.complex128)
-    z = np.add.outer(s, np.conj(w))
-    if not (np.all(np.isfinite(z)) and np.all(z.real > 1.0)):
-        raise DomainError(f"{name} needs finite s + conj(w) with real part > 1")
-    return s, w, z
-
-
-def eval_zeta_outer(s, w, cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
-    """Z[l, j] = zeta(s_l + conj(w_j)) for Re(s_l + conj(w_j)) > 1.
-
-    eval_zeta's Euler-Maclaurin formula with one N for the whole matrix;
-    each entry is within cfg.tol of eval_zeta at the same point.
-    """
-    s, w, z = _pair_sums(s, w, "eval_zeta_outer")
-    n0 = np.maximum(16, (np.abs(z.imag) / 3).astype(np.int64) + 1)
-    n = _shared_length(
-        z, n0, lambda zz, nn: _em_truncation_bound(zz, nn, cfg.em_order), cfg,
-        0.5 * cfg.tol,
-        lambda zk: f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
-                   f"max_terms={cfg.max_terms} at s={zk}")
-    terms = np.arange(1, n + 1, dtype=np.float64)
-    out = _outer_sum(s, w, np.log(terms), np.ones(n))
-    out += n ** (1 - z) / (z - 1) - 0.5 * n ** (-z)
-    return out + _bernoulli_tail(z, n, cfg.em_order)
-
-
-def _shift_correction_outer(alpha: float, s: np.ndarray, w: np.ndarray,
-                            z: np.ndarray, n: int, tol: float) -> np.ndarray:
-    """_shift_correction_integral at every z = s_l + conj(w_j), on one grid.
-
-    The panels resolve the largest |Im z| and the blocks span the length
-    the smallest Re z needs; a block's nodes x = n e^v enter the product
-    with weights GL * half * delta(x) * x, since dx = x dv.  Blocks are
-    added until the largest contribution of a block is below 0.05 tol.
+    decays like e^(-Re z v) and oscillates at frequency |Im z|, so a
+    composite 8-point Gauss-Legendre rule with panels that resolve the
+    largest |Im z| is accurate to far below tol.  The v-axis is covered in
+    blocks as long as the smallest Re z needs, added until the largest
+    contribution of a block is below 0.05 tol; a block's nodes x = n e^v
+    enter _outer_sum with weights GL * half * delta(x) * x, since dx = x dv.
     """
     if alpha == 0.0:
         return np.zeros(z.shape, dtype=np.complex128)
@@ -609,6 +472,90 @@ def _shift_correction_outer(alpha: float, s: np.ndarray, w: np.ndarray,
         f"{z.size} points"
     )
 
+
+def _weighted_regular(alpha: float, s: np.ndarray, w, z: np.ndarray,
+                      cfg: EvalConfig):
+    """(value, N) at every z = s_l + conj(w_j) with one N: the sum over
+    n < N, the endpoint corrections and the shift-correction
+    integral.  The rest is the tail integral_N^inf x^-z log(x)^-alpha dx =
+    (z-1)^(alpha-1) Gamma(1-alpha, (z-1) log N)."""
+    order = min(cfg.em_order, 2)
+    n = _shared_length(
+        z, 2, lambda zz, nn: _weighted_trunc_bound(alpha, zz, nn, order), cfg,
+        cfg.tol / 3.0,
+        lambda zk: f"weighted tail cannot reach tol={cfg.tol} within "
+                   f"max_terms={cfg.max_terms} at alpha={alpha}, s={zk}")
+    terms = np.arange(1, n, dtype=np.float64)
+    out = _outer_sum(s, w, np.log(terms), np.log(terms + 1.0) ** (-alpha))
+    g, g1, g3 = _weight_term_derivs(alpha, z, float(n))
+    out += 0.5 * g - g1 / 12.0
+    if order >= 2:
+        out += g3 / 720.0
+    out += _shift_correction(alpha, s, w, z, n, cfg.tol / 3.0)
+    return out, n
+
+
+def eval_weighted_zeta(p: WeightedZetaParams, s: complex,
+                       cfg: EvalConfig = _DEFAULT_CFG) -> complex:
+    """sum_{n>=1} n^-s log(n+1)^-alpha for Re s > 1.
+
+    Truncated sum plus Euler-Maclaurin endpoint corrections plus a tail
+    integral in closed form through the upper incomplete gamma function.
+    """
+    s = complex(s)
+    if s.real <= 1:
+        raise DomainError(f"eval_weighted_zeta needs Re s > 1, got {s}")
+    regular, n = _weighted_regular(p.alpha, *_one_point(s), cfg)
+    w = (s - 1) * math.log(n)
+    if p.alpha == 1.0:
+        tail = _exp_integral_e1(w)
+    else:
+        a = 1.0 - p.alpha
+        tail = (s - 1) ** complex(p.alpha - 1) * eval_upper_gamma(a, w)
+    return complex(regular[0, 0]) + tail
+
+
+def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
+                            cfg: EvalConfig = _DEFAULT_CFG) -> complex:
+    """Weighted zeta minus its singular part, stable down to z -> 1.
+
+    For alpha < 1 the singular part is gamma(1-alpha) (z-1)^(alpha-1); for
+    alpha = 1 it is log 1/(z-1).  Near z = 1 the subtraction is folded into
+    the tail integral: the difference Gamma(a, w) - Gamma(a) is the lower
+    incomplete gamma at w = (z-1) log N, whose series cancels the (z-1)
+    powers exactly, so no large quantities are ever subtracted.
+    """
+    z = complex(z)
+    if z.real <= 1:
+        raise DomainError(f"eval_weighted_remainder needs Re z > 1, got {z}")
+    alpha = p.alpha
+    regular, n = _weighted_regular(alpha, *_one_point(z), cfg)
+    regular = complex(regular[0, 0])
+    log_n = math.log(n)
+    w = (z - 1) * log_n
+    if alpha == 1.0:
+        if abs(w) <= 1.5:
+            # E_1(w) + log(z-1) = -euler_gamma - log log n + sum (-1)^(k+1) w^k/(k k!)
+            series = 0.0 + 0.0j
+            term = 1.0 + 0.0j
+            for k in range(1, _MAX_SPECIAL_ITER):
+                term *= -w / k
+                series -= term / k
+                if abs(term) < 1e-18:
+                    break
+            return regular - EULER_GAMMA - math.log(log_n) + series
+        return regular + _exp_integral_e1(w) + cmath.log(z - 1)
+    a = 1.0 - alpha
+    if abs(w) < a + 1.0:
+        folded = log_n**a * cmath.exp(-w) * _lower_gamma_series(a, w)
+        return regular - folded
+    lead = eval_gamma(a) * (z - 1) ** complex(alpha - 1)
+    return regular + (z - 1) ** complex(alpha - 1) * eval_upper_gamma(a, w) - lead
+
+
+# ---------------------------------------------------------------------------
+# incomplete gamma over arrays, for the tails of the series over arrays
+# ---------------------------------------------------------------------------
 
 def _lower_gamma_series_array(a: float, z: np.ndarray) -> np.ndarray:
     """_lower_gamma_series elementwise on a 1-d array."""
@@ -698,6 +645,19 @@ def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _weighted_zeta_series(alpha: float, s: np.ndarray, w, z: np.ndarray,
+                          cfg: EvalConfig) -> np.ndarray:
+    """eval_weighted_zeta at every z = s_l + conj(w_j), with one N and one
+    quadrature grid, and the tail through _upper_gamma_array."""
+    if z.size == 0:
+        return np.zeros(z.shape, dtype=np.complex128)
+    out, n = _weighted_regular(alpha, s, w, z, cfg)
+    tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
+    if alpha != 1.0:
+        tail *= (z - 1) ** (alpha - 1)
+    return out + tail
+
+
 def eval_weighted_zeta_outer(p: WeightedZetaParams, s, w,
                              cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
     """Z[l, j] = eval_weighted_zeta(p, s_l + conj(w_j)) for Re > 1.
@@ -707,23 +667,5 @@ def eval_weighted_zeta_outer(p: WeightedZetaParams, s, w,
     one N and one quadrature grid for the whole matrix; each entry is
     within cfg.tol of eval_weighted_zeta at the same point.
     """
-    alpha = p.alpha
-    s, w, z = _pair_sums(s, w, "eval_weighted_zeta_outer")
-    order = min(cfg.em_order, 2)
-    n0 = np.maximum(16, (np.abs(z.imag) / 2).astype(np.int64) + 1)
-    n = _shared_length(
-        z, n0, lambda zz, nn: _weighted_trunc_bound(alpha, zz, nn, order), cfg,
-        cfg.tol / 3.0,
-        lambda zk: f"weighted tail cannot reach tol={cfg.tol} within "
-                   f"max_terms={cfg.max_terms} at alpha={alpha}, s={zk}")
-    terms = np.arange(1, n, dtype=np.float64)
-    out = _outer_sum(s, w, np.log(terms), np.log(terms + 1.0) ** (-alpha))
-    g, g1, g3 = _weight_term_derivs(alpha, z, float(n))
-    out += 0.5 * g - g1 / 12.0
-    if order >= 2:
-        out += g3 / 720.0
-    out += _shift_correction_outer(alpha, s, w, z, n, cfg.tol / 3.0)
-    tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
-    if alpha != 1.0:
-        tail *= (z - 1) ** (alpha - 1)
-    return out + tail
+    return _weighted_zeta_series(
+        p.alpha, *_series_points(s, w, "eval_weighted_zeta_outer"), cfg)

@@ -270,6 +270,16 @@ def test_asymptotics_alpha_cap(capsys):
     capsys.readouterr()
 
 
+def test_asymptotics_rows_stop_where_s_rounds_to_one(capsys):
+    # s = 1 + 10^-k is exactly 1 from k = 16 on: that row is refused, and
+    # a huge --kmax is refused as fast
+    for kmax in ("16", "1000000000"):
+        assert run(["asymptotics", "--alpha", "0.5", "--kmax", kmax]) == 1
+        assert _stderr_error(capsys)["error"] == "DomainError"
+    assert run(["asymptotics", "--alpha", "0.5", "--kmax", "15"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 15
+
+
 @pytest.mark.parametrize("template", [
     ["kernel", "--w", "1,inf", "--s", "1,0"],
     ["kernel", "--w", "1,nan", "--s", "1,0"],
@@ -323,6 +333,18 @@ def test_negative_infinity_is_refused_as_non_finite(argv, capsys):
     assert "finite" in obj["message"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_far_height_gram_is_refused(tmp_path, capsys):
+    # a point at t = 1e300 ends in one JSON error object, with no numpy
+    # warning about the series length cast before it
+    points = tmp_path / "far.json"
+    points.write_text("[[1, 0], [1, 1e300]]")
+    rc = run(["gram", "--points", str(points)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "ConvergenceError"
+
+
 @pytest.mark.parametrize("template, error", [
     (["blaschke", "--nodes", "{fix}/nodes_small.json", "--eval", "-2.5e3,0"],
      "NumericalError"),
@@ -341,6 +363,8 @@ def test_negative_infinity_is_refused_as_non_finite(argv, capsys):
     (["interpolate", "--space", "d_alpha", "--alpha=-5e-308",
       "--nodes", "{fix}/nodes_small.json", "--targets", "{fix}/targets_small.json"],
      "NumericalError"),
+    (["kernel", "--w", "1,1e300", "--s", "1,0"], "ConvergenceError"),
+    (["embedding", "--corpus-count", "100000", "--max-degree", "10000"], "SizeError"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_overflowing_input_is_refused(template, error, fixtures_dir, capsys):

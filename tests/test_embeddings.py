@@ -70,6 +70,13 @@ def test_degree_eight_line_closed_vs_quadrature():
     assert abs(closed.ratio - quad.ratio) < 1e-8
 
 
+def test_corpus_size_refused_before_drawing():
+    # 1e9 coefficients would hold about 38 GB; the refusal comes first
+    for count, degree in ((100_000, 10_000), (1001, 1000)):
+        with pytest.raises(SizeError, match="exceeds cap 1000000"):
+            random_polynomial_corpus(count, degree, 0)
+
+
 @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.5, 1.0])
 def test_halfstrip_closed_vs_quadrature(alpha):
     rng = np.random.default_rng(77)

@@ -169,6 +169,17 @@ def test_nonpositive_diagonal_raises_naming_the_point():
         assert str(exc.value) == str(ref.value)
 
 
+def test_limit_kernel_diagonal_not_real_off_the_axis():
+    # the printed alpha = 1 diagonal is not real at a nonreal point, even
+    # right of sigma = 3/2, so no norm or Gram matrix exists there
+    d1 = SpaceId(BERGMAN_DIRICHLET, 1.0)
+    bad = HalfPlanePoint(2.5, -1.0)
+    with pytest.raises(NumericalError, match="imaginary residue 0.0714"):
+        kernel_norm(d1, bad)
+    with pytest.raises(NumericalError, match="imaginary residue 0.0714"):
+        gram_matrix(d1, PointSequence((HalfPlanePoint(2.0, 0.0), bad)))
+
+
 def test_limit_kernel_gram_not_positive():
     # the alpha = 1 prefactors break positivity even on real points
     # right of 3/2; pin the observed spectrum so any change is visible

@@ -16,6 +16,7 @@ from dirichlet_rkhs.spaces import (HARDY_DIRICHLET, HARDY_HALF_PLANE,
                                    WEIGHTED_DIRICHLET, HalfPlanePoint,
                                    PointSequence, SpaceId, kernel_norm,
                                    kernel_value)
+from dirichlet_rkhs.zeta import EvalConfig
 
 H = SpaceId(HARDY_DIRICHLET)
 H2 = SpaceId(HARDY_HALF_PLANE)
@@ -102,6 +103,22 @@ def test_finite_interpolant_hits_targets():
                          for p, a in zip(nodes.points, targets)))
     assert abs(f.admissibility - want) < 1e-12
     assert "primes" in f.to_json_dict()
+
+
+@pytest.mark.parametrize("pairs, cfg", [
+    (((1.0, 0.0), (1.0, 4e6)), EvalConfig()),
+    (((1.0, 0.0), (1.2, 100.0), (2.0, -60.0)), EvalConfig(max_terms=16)),
+])
+def test_finite_interpolant_nodes_far_apart_in_height(pairs, cfg):
+    # the norms are zeta(2 sigma_j), at real points: heights that differ by
+    # more than 3 max_terms need no longer series
+    nodes = _seq(*pairs)
+    targets = (1.0, 2.0j, 0.5)[:len(pairs)]
+    f = finite_interpolant(nodes, targets, cfg)
+    assert max(f.residuals) < 1e-12
+    want = math.sqrt(sum(abs(a) ** 2 / kernel_norm(H, p, cfg) ** 2
+                         for p, a in zip(nodes.points, targets)))
+    assert abs(f.admissibility - want) < 1e-12
 
 
 def test_finite_interpolant_target_count():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_rkhs.errors import ConvergenceError, DomainError, NumericalError
+from dirichlet_rkhs.gram import gram_matrix
 from dirichlet_rkhs.spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET,
                                    HARDY_HALF_PLANE, WEIGHTED_DIRICHLET,
                                    DirichletPolynomial, HalfPlanePoint,
@@ -292,6 +293,47 @@ def _assert_matches_scalar(space, rows, cols, cfg):
             else:
                 assert _bits(k[l, j]) == _bits(want), (space, s, w)
     return k
+
+
+def test_weighted_kernel_matrix_matches_mpmath():
+    # an oracle outside the series code: at alpha = -1, log(n+1) = log n +
+    # sum_m (-1)^(m+1) n^-m / m turns the series into -zeta'(z) + log 2 +
+    # sum_m (-1)^(m+1) (zeta(z+m) - 1) / m, exact at every entry, down to
+    # Re z = 1 + 2^-11; at alpha = 1/2, mpmath's own summation where it
+    # converges (Re z > 2.5)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    cfg = EvalConfig()
+    k = kernel_matrix(SpaceId(WEIGHTED_DIRICHLET, -1.0), _ROWS, _COLS, cfg)
+    for l, s in enumerate(_ROWS):
+        for j, w in enumerate(_COLS):
+            z = s.as_complex + w.as_complex.conjugate()
+            zm = mpmath.mpc(z.real, z.imag)
+            want = -mpmath.zeta(zm, 1, 1) + mpmath.log(2) + sum(
+                (-1) ** (m + 1) * (mpmath.zeta(zm + m) - 1) / m for m in range(1, 70))
+            assert abs(k[l, j] - complex(want)) <= cfg.tol, z
+    k = kernel_matrix(SpaceId(WEIGHTED_DIRICHLET, 0.5), _ROWS[2:], _COLS[1:3], cfg)
+    for l, s in enumerate(_ROWS[2:]):
+        for j, w in enumerate(_COLS[1:3]):
+            z = s.as_complex + w.as_complex.conjugate()
+            zm = mpmath.mpc(z.real, z.imag)
+            want = mpmath.nsum(lambda n: n ** -zm / mpmath.sqrt(mpmath.log(n + 1)),
+                               [1, mpmath.inf], method="euler-maclaurin")
+            assert abs(k[l, j] - complex(want)) <= cfg.tol, z
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", [H, SpaceId(WEIGHTED_DIRICHLET, 0.5)])
+def test_far_height_is_convergence_error(space):
+    # |Im z| = 1e300 needs more than max_terms terms; the start length is
+    # clipped before its int64 cast, so no numpy warning comes first
+    far, near = HalfPlanePoint(1.0, 1e300), HalfPlanePoint(1.0, 0.0)
+    with pytest.raises(ConvergenceError):
+        kernel_value(space, far, near)
+    with pytest.raises(ConvergenceError):
+        kernel_matrix(space, (near, far), (near, far))
+    with pytest.raises(ConvergenceError):
+        gram_matrix(space, PointSequence((near, far)))
 
 
 def test_kernel_matrix_matches_scalar(monkeypatch):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from dirichlet_rkhs.errors import DomainError, PoleError
 from dirichlet_rkhs.zeta import (EULER_GAMMA, EvalConfig, WeightedZetaParams,
-                                 _choose_em_length, _choose_weighted_length,
                                  _em_truncation_bound, _shared_length,
                                  _upper_gamma_array, _weighted_trunc_bound,
                                  eval_gamma, eval_upper_gamma, eval_weighted_remainder,
-                                 eval_weighted_zeta, eval_zeta, eval_zeta_remainder)
+                                 eval_weighted_zeta, eval_weighted_zeta_outer, eval_zeta,
+                                 eval_zeta_outer, eval_zeta_remainder)
 
 CFG = EvalConfig()
 
@@ -215,24 +215,53 @@ def test_config_validation():
 
 
 def test_shared_length_is_the_largest_scalar_length():
-    # the outer evaluators' one N is the largest length the scalar rule
-    # picks for any entry, and every entry's bound holds there
+    # the one N of an array of points is the largest length that a one-point
+    # call picks for any of them, and every point's bound holds there; a
+    # one-point call picks what plain doubling from the start length picks
     rng = np.random.default_rng(5)
     z = rng.uniform(1.0005, 6.0, (7, 5)) + 1j * rng.uniform(-300.0, 300.0, (7, 5))
     em_budget, w_budget = 0.5 * CFG.tol, CFG.tol / 3.0
     cases = (
-        (3, em_budget, lambda zz, nn: _em_truncation_bound(zz, nn, CFG.em_order),
-         lambda zk: _choose_em_length(zk, CFG, em_budget)),
-        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(-1.0, zz, nn, 2),
-         lambda zk: _choose_weighted_length(-1.0, zk, CFG, 2, w_budget)),
-        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(0.5, zz, nn, 2),
-         lambda zk: _choose_weighted_length(0.5, zk, CFG, 2, w_budget)),
+        (3, em_budget, lambda zz, nn: _em_truncation_bound(zz, nn, CFG.em_order)),
+        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(-1.0, zz, nn, 2)),
+        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(0.5, zz, nn, 2)),
     )
-    for div, budget, bound, scalar in cases:
-        start = np.maximum(16, (np.abs(z.imag) / div).astype(np.int64) + 1)
-        n = _shared_length(z, start, bound, CFG, budget, str)
-        assert n == max(scalar(complex(zk)) for zk in z.ravel())
+    for div, budget, bound in cases:
+        one_point = []
+        for zk in z.ravel():
+            n = max(16, int(abs(zk.imag) / div) + 1)
+            while not bound(complex(zk), n) <= budget:
+                n *= 2
+            assert _shared_length(np.array([zk]), div, bound, CFG, budget, str) == n
+            one_point.append(n)
+        n = _shared_length(z, div, bound, CFG, budget, str)
+        assert n == max(one_point)
         assert np.all(bound(z, n) <= budget)
+
+
+@pytest.mark.parametrize("alpha", [None, -1.0, 0.5, 1.0])
+def test_point_list_and_matrix_match_one_point_calls(alpha):
+    # the three forms of one series evaluator: each value within tol of the
+    # true one, so within 2 tol of each other; a point list is the n x 1
+    # outer form at w = 0, and an empty list is empty
+    rng = np.random.default_rng(17)
+    s = rng.uniform(0.6, 2.0, 5) + 1j * rng.uniform(-30.0, 30.0, 5)
+    w = rng.uniform(0.6, 2.0, 4) + 1j * rng.uniform(-30.0, 30.0, 4)
+    z = np.add.outer(s, np.conj(w))
+    if alpha is None:
+        one = [eval_zeta(complex(zk)) for zk in z.ravel()]
+        points, matrix = eval_zeta_outer(z.ravel(), [0j])[:, 0], eval_zeta_outer(s, w)
+        empty, empty_rows = eval_zeta_outer([], [0j])[:, 0], eval_zeta_outer([], w)
+    else:
+        p = WeightedZetaParams(alpha)
+        one = [eval_weighted_zeta(p, complex(zk)) for zk in z.ravel()]
+        points = eval_weighted_zeta_outer(p, z.ravel(), [0j])[:, 0]
+        matrix = eval_weighted_zeta_outer(p, s, w)
+        empty = eval_weighted_zeta_outer(p, [], [0j])[:, 0]
+        empty_rows = eval_weighted_zeta_outer(p, [], w)
+    assert np.max(np.abs(points - one)) <= 2.0 * CFG.tol
+    assert np.max(np.abs(matrix.ravel() - one)) <= 2.0 * CFG.tol
+    assert empty.shape == (0,) and empty_rows.shape == (0, len(w))
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
