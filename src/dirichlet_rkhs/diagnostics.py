@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .gram import _normalized_kernel_matrix, gram_matrix, smallest_eigenvalue
-from .spaces import (BERGMAN_DIRICHLET, HARDY_DIRICHLET, HARDY_HALF_PLANE,
-                     WEIGHTED_DIRICHLET, HalfPlanePoint, PointSequence, SpaceId,
-                     pseudohyperbolic_distance)
+from .spaces import (_PAIR_BLOCK, BERGMAN_DIRICHLET, HARDY_DIRICHLET,
+                     HARDY_HALF_PLANE, WEIGHTED_DIRICHLET, HalfPlanePoint,
+                     PointSequence, SpaceId, _pair_blocks)
 from .zeta import (EvalConfig, WeightedZetaParams, _weight_term_derivs,
                    eval_weighted_zeta_outer, eval_zeta_outer)
 
@@ -84,12 +84,17 @@ class EquivalenceReport:
 
 
 def separation_constant(seq: PointSequence) -> float:
-    """Minimum pairwise pseudohyperbolic distance."""
+    """Minimum pairwise pseudohyperbolic distance.
+
+    Over arrays of pairs, with pseudohyperbolic_distance's arithmetic: the
+    same differences, and C hypot for each modulus, so bit for bit.
+    """
     if len(seq) < 2:
         raise SizeError("separation needs at least two points")
-    pts = seq.points
-    return min(pseudohyperbolic_distance(pts[i], pts[j])
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+    sigma = np.array([p.sigma for p in seq.points])
+    t = np.array([p.t for p in seq.points])
+    return min(float(np.min(dist / np.hypot(sigma[i] + sigma[j] - 1.0, t[i] - t[j])))
+               for i, j, dist in _pair_blocks(seq))
 
 
 def carleson_boxes(seq: PointSequence) -> list[tuple[float, float]]:
@@ -98,11 +103,7 @@ def carleson_boxes(seq: PointSequence) -> list[tuple[float, float]]:
     Each point anchors boxes with side 2(sigma_k - 1/2) * 2^m, doubling
     until the side exceeds the sequence diameter.
     """
-    pts = [p.as_complex for p in seq.points]
-    diam = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            diam = max(diam, abs(pts[i] - pts[j]))
+    diam = max((float(np.max(dist)) for _, _, dist in _pair_blocks(seq)), default=0.0)
     boxes = []
     for p in seq.points:
         side = 2.0 * (p.sigma - 0.5)
@@ -115,12 +116,25 @@ def carleson_boxes(seq: PointSequence) -> list[tuple[float, float]]:
 
 
 def intensity_over_boxes(seq: PointSequence, boxes) -> float:
-    """sup over the given boxes of sum_{s_j in Q} (sigma_j - 1/2) / side."""
+    """sup over the given boxes of sum_{s_j in Q} (sigma_j - 1/2) / side.
+
+    Each box's sum is a cumulative sum along the points with the points
+    outside the box set to 0, so it adds the same terms in the same order
+    as a loop over the points would, bit for bit on any interpreter.  The
+    boxes are taken in slices of about _PAIR_BLOCK (box, point) pairs.
+    """
+    excess = np.array([p.sigma - 0.5 for p in seq.points])
+    t = np.array([p.t for p in seq.points])
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 2)
+    step = max(1, _PAIR_BLOCK // len(excess))
     best = 0.0
-    for t_center, side in boxes:
-        num = sum(p.sigma - 0.5 for p in seq.points
-                  if p.sigma - 0.5 <= side and abs(p.t - t_center) <= side / 2.0)
-        best = max(best, num / side)
+    for lo in range(0, len(boxes), step):
+        t_center, side = boxes[lo:lo + step, :1], boxes[lo:lo + step, 1:]
+        inside = (excess <= side) & (np.abs(t - t_center) <= side / 2.0)
+        num = np.cumsum(np.where(inside, excess, 0.0), axis=1)[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # fmax passes over a nan quotient, as max(best, nan) keeps best
+            best = max(best, float(np.fmax.reduce(num / side[:, 0])))
     return best
 
 
@@ -341,7 +355,7 @@ def _surrogate_scan(alpha: float, sigma2: float, taus: np.ndarray,
     s = sigma2 + 1j * taus
     # endpoint corrections g/2 - g'/12 + g'''/720 at x = m
     x = float(m)
-    g, g1, g3 = _weight_term_derivs(alpha, s, x)
+    g, g1, g3 = _weight_term_derivs(alpha, s, x, x ** (-s))
     acc += 0.5 * g - g1 / 12.0 + g3 / 720.0
     # tail integral, asymptotic expansion of the incomplete gamma factor
     log_m = math.log(x)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, SizeError
 from .spaces import HARDY_DIRICHLET, WEIGHTED_DIRICHLET, DirichletPolynomial, SpaceId
@@ -245,6 +244,9 @@ def _derivative_value(f: DirichletPolynomial, s: complex) -> complex:
 
 def line_embedding_quadrature(f: DirichletPolynomial, theta: float) -> EmbeddingResult:
     """Adaptive-quadrature oracle for line_embedding_ratio."""
+    # imported here, so that importing the library does not load scipy
+    from scipy import integrate
+
     norm2 = f.norm(SpaceId(HARDY_DIRICHLET)) ** 2
 
     def integrand(t: float) -> float:
@@ -264,6 +266,8 @@ def halfstrip_embedding_quadrature(f: DirichletPolynomial, theta: float,
     on [0, 1] and the smooth remainder on [1, STRIP_CUTOFF] is integrated
     directly.
     """
+    from scipy import integrate
+
     if alpha == 0.0 or alpha > 1.0:
         raise DomainError("alpha must be nonzero and at most 1")
     a = np.asarray(f.coeffs, dtype=np.complex128)

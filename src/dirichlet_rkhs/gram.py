@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConvergenceError, IllConditionedError, SizeError
 from .spaces import PointSequence, SpaceId, _diagonal_norm, kernel_matrix
@@ -126,6 +125,9 @@ def solve_hermitian_pd(g: GramMatrix, b) -> np.ndarray:
     pivot falls below 1e-12, and when refinement cannot bring the residual
     below 1e-10 * ||b||.
     """
+    # imported here, so that importing the library does not load scipy
+    from scipy.linalg import cho_factor, cho_solve
+
     a = np.asarray(g.entries)
     rhs = np.asarray(b, dtype=np.complex128)
     if rhs.shape != (g.n,):

@@ -93,6 +93,28 @@ class SpaceId:
                 raise DomainError("BergmanDirichletHalfPlane needs alpha != 0")
 
 
+# pairs of points handled at once by _pair_blocks
+_PAIR_BLOCK = 1 << 16
+
+
+def _pair_blocks(seq):
+    """(i, j, |s_i - s_j|) over the pairs i < j of seq's points in row-major
+    order, in blocks of whole rows of about _PAIR_BLOCK pairs, so that memory
+    stays bounded for long sequences.  The distance is np.hypot of the
+    coordinate differences, which is how abs of the complex difference
+    computes it, bit for bit."""
+    sigma = np.array([p.sigma for p in seq.points])
+    t = np.array([p.t for p in seq.points])
+    n, r0 = len(sigma), 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, _PAIR_BLOCK // (n - 1 - r0)))
+        i, j = np.nonzero(np.arange(r0, r1)[:, None] < np.arange(r0 + 1, n))
+        i += r0
+        j += r0 + 1
+        yield i, j, np.hypot(sigma[i] - sigma[j], t[i] - t[j])
+        r0 = r1
+
+
 @dataclass(frozen=True)
 class PointSequence:
     """An ordered tuple of distinct half-plane points."""
@@ -102,13 +124,13 @@ class PointSequence:
     def __post_init__(self):
         if len(self.points) == 0:
             raise DomainError("sequence must be nonempty")
-        pts = [p.as_complex for p in self.points]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= 1e-12:
-                    raise DomainError(
-                        f"points {i} and {j} coincide (distance <= 1e-12)"
-                    )
+        for i, j, dist in _pair_blocks(self):
+            close = np.nonzero(dist <= 1e-12)[0]
+            if close.size:
+                k = close[0]
+                raise DomainError(
+                    f"points {i[k]} and {j[k]} coincide (distance <= 1e-12)"
+                )
 
     def __len__(self) -> int:
         return len(self.points)

@@ -20,6 +20,15 @@ section "the series over an array of points"); eval_zeta_outer and
 eval_weighted_zeta_outer are its public forms.  A plain list of points
 z_k is the n x 1 form with w = [0].  The scalar entry points are one-point
 calls of it that add their pole or tail term in scalar arithmetic.
+
+The end terms at the series length N (the pole term N^(1-z)/(z-1),
+-N^-z/2, the Bernoulli terms and the weighted endpoint derivatives) are
+multiples of N^-z.  Since N^-(s_l + conj(w_j)) = N^-s_l conj(N^-w_j), N^-z
+is one outer product of 2 powers per point, and each end term is that
+factor times per-entry polynomial arithmetic in z, with
+N^(-z-2k+1) = N^-z N^(1-2k); no complex power is taken per entry.  The
+weighted sums' shift-correction quadrature runs on a grid sized by a
+stated Gauss-Legendre error bound (see _shift_correction).
 """
 
 from __future__ import annotations
@@ -91,12 +100,14 @@ class WeightedZetaParams:
 _DEFAULT_CFG = EvalConfig()
 
 
-def _em_truncation_bound(s: np.ndarray, n: np.ndarray, order: int) -> np.ndarray:
-    """Upper bound on the dropped Euler-Maclaurin remainder for x^-s tails.
+def _em_truncation_bound(s, order: int):
+    """n -> upper bound on the dropped Euler-Maclaurin remainder for x^-s
+    tails, elementwise over s and n.
 
     The remainder after `order` Bernoulli terms is bounded by the first
-    omitted term times |s + 2q + 1| / (sigma + 2q + 1), elementwise over
-    the arrays s and n.
+    omitted term times |s + 2q + 1| / (sigma + 2q + 1).  The factors that
+    depend on s alone are computed here, once; the returned function only
+    raises n to its power, in the same order of multiplication.
     """
     sigma = s.real
     q = order
@@ -105,11 +116,13 @@ def _em_truncation_bound(s: np.ndarray, n: np.ndarray, order: int) -> np.ndarray
     for j in range(2 * q + 1):
         prod *= abs(s + j)
     scale = abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
-    return lead * prod * n ** (-(sigma + 2 * q + 1)) * np.maximum(1.0, scale)
+    front, power, back = lead * prod, -(sigma + 2 * q + 1), np.maximum(1.0, scale)
+    return lambda n: front * n ** power * back
 
 
-def _bernoulli_tail(s: np.ndarray, n: int, order: int) -> np.ndarray:
-    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(-s-2k+1), elementwise over s.
+def _bernoulli_factor(s: np.ndarray, n: int, order: int) -> np.ndarray:
+    """sum_k B_2k/(2k)! * s(s+1)...(s+2k-2) * n^(1-2k), elementwise over s:
+    the Bernoulli terms of the Euler-Maclaurin tail divided by n^-s.
 
     The rising product gains two factors per k, multiplied in the order
     that a product built afresh for each k would use.
@@ -119,8 +132,7 @@ def _bernoulli_tail(s: np.ndarray, n: int, order: int) -> np.ndarray:
     for k in range(1, order + 1):
         for j in range(max(0, 2 * k - 3), 2 * k - 1):
             rising = rising * (s + j)
-        coeff = _BERNOULLI[k] / math.factorial(2 * k)
-        total += coeff * rising * n ** (-s - (2 * k - 1))
+        total += _BERNOULLI[k] / math.factorial(2 * k) * float(n) ** (1 - 2 * k) * rising
     return total
 
 
@@ -139,7 +151,8 @@ def _bernoulli_tail(s: np.ndarray, n: int, order: int) -> np.ndarray:
 # is the shift-correction quadrature on its nodes x.  Each product adds rounding
 # of at most about N u sum_n |c_n n^-Re z| (u the unit roundoff) to an
 # entry, and the phases of A and B are rounded separately, which adds about
-# (|Im s_l| + |Im w_j|) log N u per term.
+# (|Im s_l| + |Im w_j|) log N u per term.  The end terms take their factor
+# N^-z the same way, as _outer_sum at the one node N.
 
 # slice length along the term and node axes, so that no intermediate array
 # holds more than (number of points) x _SLICE entries
@@ -166,28 +179,30 @@ def _shared_length(z: np.ndarray, div: float, bound, cfg: EvalConfig,
     """One series length for all of z.
 
     Each entry starts at max(16, floor(|Im z| / div) + 1) and doubles until
-    bound(z, n) <= budget; the largest of these lengths is then checked for
+    bound(z)(n) <= budget; the largest of these lengths is then checked for
     every entry, and the doubling goes on until all entries meet the budget
-    at one length.  failure(z_k) is the ConvergenceError message for an
-    entry whose length would pass cfg.max_terms.
+    at one length.  bound(z) is called once, so what depends on z alone is
+    not recomputed per doubling.  failure(z_k) is the ConvergenceError
+    message for an entry whose length would pass cfg.max_terms.
     """
     if not np.all(np.isfinite(z)):
         raise DomainError(f"series length needs a finite s, got {z[~np.isfinite(z)][0]}")
     # clipped at max_terms, which is over the cap anyway, because the int64
     # cast overflows once |Im z| passes about 2e19
     n = np.maximum(16, np.minimum(np.abs(z.imag) / div, cfg.max_terms).astype(np.int64) + 1)
-    while True:
-        over_cap = n > cfg.max_terms
-        if over_cap.any():
-            raise ConvergenceError(failure(complex(z[over_cap][0])))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not met
-            over = ~(bound(z, n) <= budget)
-        if over.any():
-            n = np.where(over, 2 * n, n)
-        elif n.min() < n.max():
-            n = np.full(n.shape, n.max())
-        else:
-            return int(n.flat[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not met
+        bound_at = bound(z)
+        while True:
+            over_cap = n > cfg.max_terms
+            if over_cap.any():
+                raise ConvergenceError(failure(complex(z[over_cap][0])))
+            over = ~(bound_at(n) <= budget)
+            if over.any():
+                n = np.where(over, 2 * n, n)
+            elif n.min() < n.max():
+                n = np.full(n.shape, n.max())
+            else:
+                return int(n.flat[0])
 
 
 def _series_points(s, w, name: str):
@@ -213,20 +228,22 @@ def _one_point(s: complex):
 def _zeta_series(s: np.ndarray, w, z: np.ndarray, cfg: EvalConfig,
                  pole=None) -> np.ndarray:
     """eval_zeta's formula at every z = s_l + conj(w_j) with one N: the
-    sum over n <= N, then pole(N) - N^-z/2, then the Bernoulli terms.
-    pole(n) defaults to n^(1-z)/(z-1); it is added in that place because the
+    sum over n <= N, then pole(N) - N^-z/2, then the Bernoulli terms, the
+    end terms as multiples of the outer factor N^-z.  pole(n) defaults to
+    n^(1-z)/(z-1) = n N^-z/(z-1); it is added in that place because the
     kernel matrices' last bits depend on the order of the sums."""
     if z.size == 0:
         return np.zeros(z.shape, dtype=np.complex128)
     n = _shared_length(
-        z, 3, lambda zz, nn: _em_truncation_bound(zz, nn, cfg.em_order), cfg,
+        z, 3, lambda zz: _em_truncation_bound(zz, cfg.em_order), cfg,
         0.5 * cfg.tol,
         lambda zk: f"Euler-Maclaurin tail cannot reach tol={cfg.tol} within "
                    f"max_terms={cfg.max_terms} at s={zk}")
     terms = np.arange(1, n + 1, dtype=np.float64)
     out = _outer_sum(s, w, np.log(terms), np.ones(n))
-    out += (n ** (1 - z) / (z - 1) if pole is None else pole(n)) - 0.5 * n ** (-z)
-    return out + _bernoulli_tail(z, n, cfg.em_order)
+    p = _outer_sum(s, w, np.array([math.log(n)]), np.ones(1))
+    out += (n * p / (z - 1) if pole is None else pole(n)) - 0.5 * p
+    return out + p * _bernoulli_factor(z, n, cfg.em_order)
 
 
 def eval_zeta(s: complex, cfg: EvalConfig = _DEFAULT_CFG) -> complex:
@@ -383,12 +400,12 @@ def eval_upper_gamma(a: float, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _weight_term_derivs(alpha: float, s, x: float):
-    """g, g', g''' for g(x) = x^-s log(x+1)^-alpha at real x.
+def _weight_term_derivs(alpha: float, s, x: float, u):
+    """g, g', g''' for g(x) = x^-s log(x+1)^-alpha at real x, given the
+    power u = x^-s: each is u times per-entry polynomial arithmetic in s.
 
-    s may be a complex scalar or a numpy array of them (elementwise).
+    s and u may be complex scalars or numpy arrays of them (elementwise).
     """
-    u = x ** (-s)
     u1 = -s * u / x
     u2 = s * (s + 1) * u / (x * x)
     u3 = -s * (s + 1) * (s + 2) * u / (x * x * x)
@@ -408,26 +425,37 @@ def _weight_term_derivs(alpha: float, s, x: float):
     return g, g1, g3
 
 
-def _weighted_trunc_bound(alpha: float, s: np.ndarray, n: np.ndarray,
-                          order: int) -> np.ndarray:
-    """Majorant for the first omitted Euler-Maclaurin term of the weighted tail.
+def _weighted_trunc_bound(alpha: float, s, order: int):
+    """n -> majorant for the first omitted Euler-Maclaurin term of the
+    weighted tail, elementwise over s and n.
 
     order is the number of derivative corrections retained (1 -> g',
-    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).
-    Elementwise over the arrays s and n.
+    2 -> g' and g'''); the dropped term involves g^(3) resp. g^(5).  The
+    factors that depend on s alone are computed here, once; the returned
+    function multiplies in the n-dependent ones in the same order.
     """
     sigma = s.real
     k = 2 * order + 1  # derivative order of the first omitted term
-    lg_lo, lg_hi = np.log(n), np.log(n + 1.0)
-    lfac = lg_hi**-alpha if alpha <= 0 else lg_lo**-alpha
     prod = 1.0
     for j in range(k):
         prod *= abs(s) + j + abs(alpha)
     coeff = abs(_BERNOULLI[order + 1]) / math.factorial(2 * order + 2)
-    return 2.0 * coeff * prod * n ** (-(sigma + k)) * lfac
+    front, power = 2.0 * coeff * prod, -(sigma + k)
+
+    def at(n):
+        lfac = np.log(n + 1.0) ** -alpha if alpha <= 0 else np.log(n) ** -alpha
+        return front * n ** power * lfac
+    return at
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the shift correction's blocks, at most, and its widest panel
+_SHIFT_BLOCKS = 64
+_MAX_PANEL = 0.5
+# a ladder of Bernstein-ellipse parameters rho and the 8-point rule's error
+# factor 64 / (15 (rho^2 - 1) rho^14) at each; see _shift_correction
+_GL_RHO = np.geomspace(1.25, 64.0, 16)
+_GL_ERR = 64.0 / (15.0 * (_GL_RHO ** 2 - 1.0) * _GL_RHO ** 14)
 
 
 def _log_shift_delta(alpha: float, x: np.ndarray) -> np.ndarray:
@@ -436,32 +464,114 @@ def _log_shift_delta(alpha: float, x: np.ndarray) -> np.ndarray:
     return lg0**-alpha * np.expm1(-alpha * np.log1p(np.log1p(1.0 / x) / lg0))
 
 
+def _quadrature_bound(alpha: float, n: int, sigma: float, omega: float,
+                      block: float, panels: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre error bound of _shift_correction's docstring,
+    summed over all _SHIFT_BLOCKS blocks, at each panel count per block of
+    the array `panels`, with the best rho of _GL_RHO for each."""
+    h = block / np.asarray(panels, dtype=np.float64)[:, None]
+    a = 0.5 * (_GL_RHO + 1.0 / _GL_RHO)
+    c = 0.25 * (_GL_RHO - 1.0 / _GL_RHO) * h
+    lo = math.log(n) - 0.5 * (a - 1.0) * h
+    hi = math.log(n) + block + 0.5 * (a - 1.0) * h
+    k = np.arange(_SHIFT_BLOCKS)
+    with np.errstate(all="ignore"):  # an inf or nan bound is not met
+        later = np.sum(np.exp(-sigma * block * k)
+                       * (1.0 + block * k / (math.log(n) + block)) ** max(0.0, -alpha))
+        r = np.exp(-lo)
+        e = r / ((1.0 - r) * lo)
+        lam = lo ** -alpha if alpha > 0 else np.hypot(hi, c) ** -alpha
+        m = (np.exp((1.0 - sigma) * lo + omega * c) * lam
+             * abs(alpha) * e * (1.0 - e) ** -abs(alpha + 1.0))
+        err = np.where((lo > 0.0) & (e < 1.0), _GL_ERR * m, np.inf)
+        return 0.5 * block * later * np.min(err, axis=1)
+
+
+def _panel_count(alpha: float, n: int, sigma: float, omega: float,
+                 block: float, budget: float) -> int:
+    """Panels per block for _shift_correction: the fewest, to within 1/16,
+    with panel width at most _MAX_PANEL and _quadrature_bound <= budget.
+    The bound falls as the count grows, so the count is found on a doubling
+    ladder and then on sixteenths of the last doubling."""
+    ladder = math.ceil(block / _MAX_PANEL) * 2 ** np.arange(25)
+    met = _quadrature_bound(alpha, n, sigma, omega, block, ladder) <= budget
+    if not met.any():
+        raise ConvergenceError(
+            f"shift correction quadrature cannot meet tol={budget:.3g} at "
+            f"alpha={alpha}, n={n}, |Im z| up to {omega}")
+    top = int(np.argmax(met))
+    if top == 0:
+        return int(ladder[0])
+    fine = ladder[top - 1] * np.arange(17, 33) // 16
+    met = _quadrature_bound(alpha, n, sigma, omega, block, fine) <= budget
+    return int(fine[np.argmax(met)])
+
+
 def _shift_correction(alpha: float, s: np.ndarray, w, z: np.ndarray, n: int,
                       tol: float) -> np.ndarray:
     """integral_n^inf x^-z (log(x+1)^-alpha - log(x)^-alpha) dx at every
     z = s_l + conj(w_j), on one grid.
 
-    Substituting x = n e^v turns the domain into [0, inf); the integrand
-    decays like e^(-Re z v) and oscillates at frequency |Im z|, so a
-    composite 8-point Gauss-Legendre rule with panels that resolve the
-    largest |Im z| is accurate to far below tol.  The v-axis is covered in
-    blocks as long as the smallest Re z needs, added until the largest
-    contribution of a block is below 0.05 tol; a block's nodes x = n e^v
-    enter _outer_sum with weights GL * half * delta(x) * x, since dx = x dv.
+    Substituting x = n e^v turns it into integral_0^inf F(v) dv with
+    F(v) = x^(1-z) delta(x) and delta(x) = log(x+1)^-alpha - log(x)^-alpha.
+    The v-axis is covered in blocks of length B = 5 / min(sigma, 2),
+    sigma = min Re z, added until the largest contribution of a block is
+    below 0.05 tol.  Each block is tiled by P panels of width h = B / P
+    <= 1/2 with the 8-point Gauss-Legendre rule; its nodes x = n e^v enter
+    _outer_sum with weights GL * h/2 * delta(x) * x, since dx = x dv.
+
+    P is the fewest panels, to within 1/16, whose error bound summed over
+    all _SHIFT_BLOCKS blocks is at most tol / 2 (the rest of tol is left to
+    the blocks not added).  The bound: F is analytic but at v = -log n,
+    where log(x)^-alpha branches, and at v = -log n + i pi (2j + 1), where
+    x = -1; n >= 16.  If F is analytic inside the Bernstein ellipse with
+    foci at a panel's ends and semi-axes a h/2, b h/2, where
+    a, b = (rho +- 1/rho) / 2, and |F| <= M there, the 8-point rule errs
+    on that panel by at most
+
+        (h/2) 64 M / (15 (rho^2 - 1) rho^14)
+
+    (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
+    Rev. 50 (2008), Thm 4.5, at n = 7).  Every ellipse of block k lies in
+    the box kB - d <= Re v <= (k+1)B + d, |Im v| <= c, with d = (a-1) h/2
+    and c = b h/2.  On block 0's box, with l = log n - d the least
+    Re log x, r = e^-l the largest |1/x|, L = |log n + B + d + i c| the
+    largest |log x| and omega = max |Im z|:
+
+        |x^(1-z)| <= e^((1 - sigma) l + omega c)        (|x| >= e^l > 1),
+        delta = log(x)^-alpha ((1 + eps)^-alpha - 1) with
+            eps = log(1 + 1/x) / log x, |eps| <= e = r / ((1 - r) l),
+        |(1 + eps)^-alpha - 1| <= |alpha| e (1 - e)^-|alpha + 1|   (e < 1),
+        |log(x)^-alpha| <= l^-alpha (alpha > 0), L^-alpha (alpha < 0),
+
+    and M_0 is the product of these bounds.  Block k's box is block 0's
+    moved by kB: l grows by kB, e falls to at most e^-kB times its value,
+    and L grows by at most kB, a factor of at most 1 + kB / (log n + B)
+    since L >= log n + B.  So M_k <= M_0 e^(-sigma kB)
+    (1 + kB / (log n + B))^max(0, -alpha), and as each block's P panels
+    have total width B, the summed bound is
+
+        (B/2) 64 M_0 / (15 (rho^2 - 1) rho^14) sum_k e^(-sigma kB)
+            (1 + kB / (log n + B))^max(0, -alpha),
+
+    taken at the best rho of the ladder _GL_RHO (one with l <= 0 or
+    e >= 1 is not used).  At the heights of a kernel matrix (|Im z| up to
+    about 80, n a few hundred) this admits panels 1.2 to 1.4 periods
+    2 pi / omega of the oscillation wide.
     """
     if alpha == 0.0:
         return np.zeros(z.shape, dtype=np.complex128)
-    freq = float(np.max(np.abs(z.imag))) + 1.0
-    h = min(0.5, 2.0 * math.pi / (4.0 * freq))
-    block = 5.0 / min(float(np.min(z.real)), 2.0)
-    panels_per_block = max(1, math.ceil(block / h))
+    sigma = float(np.min(z.real))
+    block = 5.0 / min(sigma, 2.0)
+    panels_per_block = _panel_count(alpha, n, sigma, float(np.max(np.abs(z.imag))),
+                                    block, 0.5 * tol)
     half = 0.5 * block / panels_per_block
     mid = (block / panels_per_block) * (np.arange(panels_per_block) + 0.5)
     v_block = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
     gl_half = np.tile(_GL_WEIGHTS, panels_per_block) * half
 
     total = np.zeros(z.shape, dtype=np.complex128)
-    for k in range(64):
+    for k in range(_SHIFT_BLOCKS):
         x = n * np.exp(k * block + v_block)
         contrib = _outer_sum(s, w, np.log(x), gl_half * _log_shift_delta(alpha, x) * x)
         total += contrib
@@ -478,16 +588,18 @@ def _weighted_regular(alpha: float, s: np.ndarray, w, z: np.ndarray,
     """(value, N) at every z = s_l + conj(w_j) with one N: the sum over
     n < N, the endpoint corrections and the shift-correction
     integral.  The rest is the tail integral_N^inf x^-z log(x)^-alpha dx =
-    (z-1)^(alpha-1) Gamma(1-alpha, (z-1) log N)."""
+    (z-1)^(alpha-1) Gamma(1-alpha, (z-1) log N).  The endpoint corrections
+    are multiples of the outer factor N^-z."""
     order = min(cfg.em_order, 2)
     n = _shared_length(
-        z, 2, lambda zz, nn: _weighted_trunc_bound(alpha, zz, nn, order), cfg,
+        z, 2, lambda zz: _weighted_trunc_bound(alpha, zz, order), cfg,
         cfg.tol / 3.0,
         lambda zk: f"weighted tail cannot reach tol={cfg.tol} within "
                    f"max_terms={cfg.max_terms} at alpha={alpha}, s={zk}")
     terms = np.arange(1, n, dtype=np.float64)
     out = _outer_sum(s, w, np.log(terms), np.log(terms + 1.0) ** (-alpha))
-    g, g1, g3 = _weight_term_derivs(alpha, z, float(n))
+    power = _outer_sum(s, w, np.array([math.log(n)]), np.ones(1))
+    g, g1, g3 = _weight_term_derivs(alpha, z, float(n), power)
     out += 0.5 * g - g1 / 12.0
     if order >= 2:
         out += g3 / 720.0

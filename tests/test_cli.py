@@ -105,6 +105,21 @@ def test_console_script_matches_golden(golden_dir):
     assert proc.stderr == b""
 
 
+def test_cli_import_does_not_load_scipy():
+    # scipy backs only the Cholesky solve and the quadrature oracles, which
+    # import it when they run; the CLI's start-up does not pay for it
+    root = pathlib.Path(dirichlet_rkhs.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, dirichlet_rkhs.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.skipif(shutil.which("dirichlet-rkhs") is None,
                     reason="dirichlet-rkhs console script not installed on PATH")
 def test_installed_console_script_matches_golden(golden_dir):

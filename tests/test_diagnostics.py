@@ -71,6 +71,93 @@ def test_intensity_honors_given_boxes(geometric):
         0.9990234375 / 8.0, abs=1e-15)
 
 
+def _loop_separation(seq):
+    # the pairwise loops the array forms replaced, kept as the reference
+    pts = seq.points
+    return min(pseudohyperbolic_distance(pts[i], pts[j])
+               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+
+
+def _loop_boxes(seq):
+    pts = [p.as_complex for p in seq.points]
+    diam = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            diam = max(diam, abs(pts[i] - pts[j]))
+    boxes = []
+    for p in seq.points:
+        side = 2.0 * (p.sigma - 0.5)
+        boxes.append((p.t, side))
+        grown = side * 2.0
+        while grown <= diam:
+            boxes.append((p.t, grown))
+            grown *= 2.0
+    return boxes
+
+
+def _loop_intensity(seq, boxes):
+    best = 0.0
+    for t_center, side in boxes:
+        num = 0.0
+        for p in seq.points:  # added one by one, as sum() did before Python 3.12
+            if p.sigma - 0.5 <= side and abs(p.t - t_center) <= side / 2.0:
+                num += p.sigma - 0.5
+        best = max(best, num / side)
+    return best
+
+
+def _loop_coincidence(pts):
+    z = [complex(s, t) for s, t in pts]
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
+            if abs(z[i] - z[j]) <= 1e-12:
+                return f"points {i} and {j} coincide"
+    return None
+
+
+@pytest.mark.parametrize("pair_block", [1 << 16, 7])
+def test_geometry_arrays_match_loops_bitwise(pair_block, monkeypatch):
+    # random jittered lattices and scattered points, with tiny blocks of
+    # pairs as well, so that a sequence spans many blocks
+    from dirichlet_rkhs import diagnostics, spaces
+    monkeypatch.setattr(spaces, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(diagnostics, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        n = int(rng.integers(2, 50))
+        if trial % 2:
+            sigma = 0.5 + 10.0 ** rng.uniform(-4.0, 0.5, n)
+            t = rng.uniform(-40.0, 40.0, n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        else:
+            cols = int(rng.integers(1, 5))
+            k = np.arange(n)
+            sigma = 0.7 + 0.35 * (k % cols) + 0.035 * rng.random(n)
+            t = -38.0 + 76.0 * (k // cols + 0.5) / max(1, n // cols) + rng.normal(0.0, 0.4, n)
+        seq = PointSequence(tuple(HalfPlanePoint(float(a), float(b)) for a, b in zip(sigma, t)))
+        assert separation_constant(seq) == _loop_separation(seq)
+        boxes = carleson_boxes(seq)
+        assert boxes == _loop_boxes(seq)
+        assert intensity_over_boxes(seq, boxes) == _loop_intensity(seq, boxes)
+        some = [boxes[q] for q in rng.integers(0, len(boxes), 5)] + [(0.0, 100.0)]
+        assert intensity_over_boxes(seq, some) == _loop_intensity(seq, some)
+    # the coincidence check names the first coinciding pair of the loop
+    for trial in range(40):
+        n = int(rng.integers(2, 30))
+        pts = [(float(a), float(b)) for a, b in
+               zip(rng.uniform(0.6, 2.0, n), rng.uniform(-5.0, 5.0, n))]
+        for _ in range(int(rng.integers(0, 3))):
+            a, b = rng.integers(0, n, 2)
+            near = 1e-12 * rng.choice([0.0, 0.5, 0.999, 1.001])
+            pts[b] = (pts[a][0] + near, pts[a][1])
+        want = _loop_coincidence(pts)
+        try:
+            PointSequence(tuple(HalfPlanePoint(a, b) for a, b in pts))
+        except DomainError as exc:
+            assert want is not None and str(exc).startswith(want), (str(exc), want)
+        else:
+            assert want is None
+
+
 def test_equidistributed_intensity_deterministic(equidistributed):
     v = carleson_intensity(equidistributed)
     assert 0.0 < v < 10.0

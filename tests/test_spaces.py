@@ -322,6 +322,93 @@ def test_weighted_kernel_matrix_matches_mpmath():
             assert abs(k[l, j] - complex(want)) <= cfg.tol, z
 
 
+def _weighted_series_oracle(mpmath, alpha, z, m_cut=2000):
+    """sum_{n>=1} n^-z log(n+1)^-alpha apart from the library's series code:
+    the plain sum over n < M in numpy; at M the Euler-Maclaurin terms
+    f(M)/2 - sum_{k<=5} B_2k/(2k)! f^(2k-1)(M), with mpmath's numerical
+    derivatives; and the tail integral_M^inf f, which x^-z =
+    (x+1)^-z (1 - 1/(x+1))^-z turns into the binomial series
+    sum_m (z)_m/m! (z+m-1)^(alpha-1) Gamma(1-alpha, (z+m-1) log(M+1)),
+    with mpmath's incomplete gamma.  Agrees with the library to about 1e-11
+    up to |Im z| = 1e3."""
+    n = np.arange(1, m_cut, dtype=np.float64)
+    head = complex(np.sum(n ** (-z) * np.log(n + 1.0) ** (-alpha)))
+    zm, a, big = mpmath.mpc(z.real, z.imag), mpmath.mpf(alpha), mpmath.mpf(m_cut)
+
+    def f(x):
+        return x ** (-zm) * mpmath.log(x + 1) ** (-a)
+
+    end = f(big) / 2 - sum(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+                           * mpmath.diff(f, big, 2 * k - 1) for k in range(1, 6))
+    log_y = mpmath.log(big + 1)
+    tail, coef, m = 0, mpmath.mpf(1), 0
+    while True:
+        p = zm + m - 1
+        term = coef * p ** (a - 1) * mpmath.gammainc(1 - a, p * log_y)
+        tail += term
+        if abs(term) < 1e-25:
+            return head + complex(end + tail)
+        coef *= (zm + m) / (m + 1)
+        m += 1
+
+
+def _four_panel_shift_correction(alpha, s, w, z, n, tol):
+    """The shift correction on its former grid, kept as a reference: four
+    8-point Gauss-Legendre panels per period of the largest |Im z| + 1, at
+    most 0.5 wide, with the same blocks and stopping rule."""
+    from dirichlet_rkhs.zeta import _GL_NODES, _GL_WEIGHTS, _log_shift_delta, _outer_sum
+    freq = float(np.max(np.abs(z.imag))) + 1.0
+    h = min(0.5, 2.0 * math.pi / (4.0 * freq))
+    block = 5.0 / min(float(np.min(z.real)), 2.0)
+    panels_per_block = max(1, math.ceil(block / h))
+    half = 0.5 * block / panels_per_block
+    mid = (block / panels_per_block) * (np.arange(panels_per_block) + 0.5)
+    v_block = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    gl_half = np.tile(_GL_WEIGHTS, panels_per_block) * half
+    total = np.zeros(z.shape, dtype=np.complex128)
+    for k in range(64):
+        x = n * np.exp(k * block + v_block)
+        contrib = _outer_sum(s, w, np.log(x), gl_half * _log_shift_delta(alpha, x) * x)
+        total += contrib
+        if np.max(np.abs(contrib)) < 0.05 * tol:
+            return total
+    raise AssertionError("the former grid did not settle")
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0, 1.0])
+def test_weighted_kernel_matrix_on_the_coarse_grid(alpha, monkeypatch):
+    # the one quadrature grid of a matrix is sized by its largest |Im z|, so
+    # a 12 x 9 matrix with one row at height 1e3 gets the widest panels;
+    # its entries meet tol against an oracle outside the series code (the
+    # whole high row, the first column and a diagonal), and every entry
+    # stays within tol/3 of the former four-panel grid, as do those of a
+    # 48-point lattice like the benchmark's
+    from dirichlet_rkhs import zeta
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(11)
+    rows = tuple(HalfPlanePoint(rng.uniform(0.6, 2.0), rng.uniform(-38.0, 38.0))
+                 for _ in range(11)) + (HalfPlanePoint(0.7, 1000.3),)
+    cols = tuple(HalfPlanePoint(rng.uniform(0.6, 2.0), rng.uniform(-38.0, 38.0))
+                 for _ in range(9))
+    lattice = tuple(HalfPlanePoint(0.7 + 0.35 * (k % 4) + 0.035 * rng.random(),
+                                   -38.0 + 76.0 * (k // 4 + 0.5) / 12)
+                    for k in range(48))
+    cfg = EvalConfig()
+    space = SpaceId(WEIGHTED_DIRICHLET, alpha)
+    k = kernel_matrix(space, rows, cols, cfg)
+    checked = ([(11, j) for j in range(9)] + [(l, 0) for l in range(11)]
+               + [(l, l) for l in range(1, 9)])
+    for l, j in checked:
+        z = rows[l].as_complex + cols[j].as_complex.conjugate()
+        assert abs(k[l, j] - _weighted_series_oracle(mpmath, alpha, z)) <= cfg.tol, z
+    k_lattice = kernel_matrix(space, lattice, lattice, cfg)
+    monkeypatch.setattr(zeta, "_shift_correction", _four_panel_shift_correction)
+    assert np.max(np.abs(k - kernel_matrix(space, rows, cols, cfg))) <= cfg.tol / 3.0
+    assert (np.max(np.abs(k_lattice - kernel_matrix(space, lattice, lattice, cfg)))
+            <= cfg.tol / 3.0)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("space", [H, SpaceId(WEIGHTED_DIRICHLET, 0.5)])
 def test_far_height_is_convergence_error(space):

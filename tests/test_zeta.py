@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_rkhs.errors import DomainError, PoleError
-from dirichlet_rkhs.zeta import (EULER_GAMMA, EvalConfig, WeightedZetaParams,
+from dirichlet_rkhs.zeta import (_BERNOULLI, EULER_GAMMA, EvalConfig, WeightedZetaParams,
                                  _em_truncation_bound, _shared_length,
                                  _upper_gamma_array, _weighted_trunc_bound,
                                  eval_gamma, eval_upper_gamma, eval_weighted_remainder,
@@ -222,21 +222,93 @@ def test_shared_length_is_the_largest_scalar_length():
     z = rng.uniform(1.0005, 6.0, (7, 5)) + 1j * rng.uniform(-300.0, 300.0, (7, 5))
     em_budget, w_budget = 0.5 * CFG.tol, CFG.tol / 3.0
     cases = (
-        (3, em_budget, lambda zz, nn: _em_truncation_bound(zz, nn, CFG.em_order)),
-        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(-1.0, zz, nn, 2)),
-        (2, w_budget, lambda zz, nn: _weighted_trunc_bound(0.5, zz, nn, 2)),
+        (3, em_budget, lambda zz: _em_truncation_bound(zz, CFG.em_order)),
+        (2, w_budget, lambda zz: _weighted_trunc_bound(-1.0, zz, 2)),
+        (2, w_budget, lambda zz: _weighted_trunc_bound(0.5, zz, 2)),
     )
     for div, budget, bound in cases:
         one_point = []
         for zk in z.ravel():
             n = max(16, int(abs(zk.imag) / div) + 1)
-            while not bound(complex(zk), n) <= budget:
+            while not bound(complex(zk))(n) <= budget:
                 n *= 2
             assert _shared_length(np.array([zk]), div, bound, CFG, budget, str) == n
             one_point.append(n)
         n = _shared_length(z, div, bound, CFG, budget, str)
         assert n == max(one_point)
-        assert np.all(bound(z, n) <= budget)
+        assert np.all(bound(z)(n) <= budget)
+
+
+def _reference_em_bound(s, n, order):
+    # the truncation bounds as written before their z-only factors were
+    # hoisted out of the doubling loop, kept as the reference
+    sigma = s.real
+    q = order
+    lead = abs(_BERNOULLI[q + 1]) / math.factorial(2 * q + 2)
+    prod = 1.0
+    for j in range(2 * q + 1):
+        prod *= abs(s + j)
+    scale = abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
+    return lead * prod * n ** (-(sigma + 2 * q + 1)) * np.maximum(1.0, scale)
+
+
+def _reference_weighted_bound(alpha, s, n, order):
+    sigma = s.real
+    k = 2 * order + 1
+    lg_lo, lg_hi = np.log(n), np.log(n + 1.0)
+    lfac = lg_hi**-alpha if alpha <= 0 else lg_lo**-alpha
+    prod = 1.0
+    for j in range(k):
+        prod *= abs(s) + j + abs(alpha)
+    coeff = abs(_BERNOULLI[order + 1]) / math.factorial(2 * order + 2)
+    return 2.0 * coeff * prod * n ** (-(sigma + k)) * lfac
+
+
+def _certify_lattice(rng, n):
+    # the jittered lattices of the benchmark's sequence_certify workload:
+    # 4 sigma columns from 0.7, n/4 heights in [-38, 38]
+    rows = n // 4
+    pts = []
+    for k in range(n):
+        i, j = divmod(k, 4)
+        pts.append(complex(0.7 + 0.35 * j + 0.035 * rng.random(),
+                           -38.0 + 76.0 * (i + 0.5) / rows + 0.76 * (rng.random() - 0.5)))
+    return np.array(pts)
+
+
+def test_hoisted_bounds_keep_every_length():
+    # the bounds with their z-only factors computed once equal the reference
+    # bit for bit at every length the doubling can visit, so _shared_length
+    # picks the same N as before on the sequence_certify lattices and on the
+    # points of the test above
+    rng = np.random.default_rng(5)
+    points = [rng.uniform(1.0005, 6.0, (7, 5)) + 1j * rng.uniform(-300.0, 300.0, (7, 5))]
+    lattice_rng = np.random.default_rng(701)
+    for size in (16, 32, 48):
+        s = _certify_lattice(lattice_rng, size)
+        points.append(np.add.outer(s, np.conj(s)))
+    em_budget, w_budget = 0.5 * CFG.tol, CFG.tol / 3.0
+    cases = [(3, em_budget, lambda zz: _em_truncation_bound(zz, CFG.em_order),
+              lambda zz, nn: _reference_em_bound(zz, nn, CFG.em_order))]
+    for alpha in (-1.0, 0.5, 1.0):
+        cases.append((2, w_budget,
+                      lambda zz, a=alpha: _weighted_trunc_bound(a, zz, 2),
+                      lambda zz, nn, a=alpha: _reference_weighted_bound(a, zz, nn, 2)))
+    lengths = 2 ** np.arange(4, 21)
+    for z in points:
+        for div, budget, bound, reference in cases:
+            for n in lengths:
+                full = np.full(z.shape, n)
+                assert np.array_equal(bound(z)(full), reference(z, full))
+            # each entry doubles from its start until it meets the budget,
+            # then the largest length doubles until every entry meets it
+            each = np.maximum(16, (np.abs(z.imag) / div).astype(np.int64) + 1)
+            while not np.all(met := reference(z, each) <= budget):
+                each = np.where(met, each, 2 * each)
+            want = each.max()
+            while not np.all(reference(z, np.full(z.shape, want)) <= budget):
+                want *= 2
+            assert _shared_length(z, div, bound, CFG, budget, str) == want
 
 
 @pytest.mark.parametrize("alpha", [None, -1.0, 0.5, 1.0])
@@ -273,3 +345,33 @@ def test_upper_gamma_array_matches_scalar(a):
     for zk, g in zip(z, got):
         want = eval_upper_gamma(a, complex(zk))
         assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), zk
+
+
+@pytest.mark.parametrize("alpha", [0.5, -1.0, 1.0])
+def test_shift_correction_error_within_its_bound(alpha, monkeypatch):
+    # the Gauss-Legendre bound that sizes the shift-correction grid holds:
+    # on grids from far too coarse to fine, the error against a grid 8 times
+    # finer stays below the bound summed over the blocks, plus a rounding
+    # floor of 64 eps times the values; tol = 1e-30 makes the stopping rule
+    # add every block that counts
+    from dirichlet_rkhs import zeta
+    rng = np.random.default_rng(23)
+    s = rng.uniform(0.7, 1.5, 4) + 1j * rng.uniform(-38.0, 38.0, 4)
+    z = np.add.outer(s, np.conj(s))
+    n = 64
+    sigma, omega = float(np.min(z.real)), float(np.max(np.abs(z.imag)))
+    block = 5.0 / min(sigma, 2.0)
+
+    def on_grid(panels):
+        monkeypatch.setattr(zeta, "_panel_count", lambda *args: panels)
+        return zeta._shift_correction(alpha, s, s, z, n, 1e-30)
+
+    errors = []
+    for panels in (8, 12, 16, 24, 32):
+        bound = zeta._quadrature_bound(alpha, n, sigma, omega, block, [panels])[0]
+        fine = on_grid(8 * panels)
+        err = float(np.max(np.abs(on_grid(panels) - fine)))
+        floor = 64.0 * np.finfo(np.float64).eps * float(np.max(np.abs(fine)))
+        assert err <= bound + floor, (panels, err, bound)
+        errors.append(err)
+    assert max(errors) > 1e-13
