@@ -4,14 +4,20 @@ Parses point-sequence and coefficient files, dispatches to the library, and
 emits deterministic JSON reports (default) or CSV plot data (--format=csv).
 Exit codes: 0 success, 1 computation error (machine-readable object on
 stderr), 2 usage error.
+
+The parser is built once per process, on the first run(), and each handler
+builds only the output form that --format selects.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
+
+import numpy as np
 
 from .diagnostics import (almost_periodicity_probe, boas_bound, shapiro_shields_test,
                           space_tag)
@@ -99,9 +105,9 @@ def _cmd_kernel(args):
     w = _point(args.w, "--w")
     s = _point(args.s, "--s")
     value = kernel_value(space, w, s, _config(args))
-    payload = {"value": [value.real, value.imag]}
-    rows = [[value.real, value.imag]]
-    return payload, ["value_re", "value_im"], rows
+    if args.format == "csv":
+        return emit_csv(["value_re", "value_im"], [[value.real, value.imag]])
+    return emit_json({"value": [value.real, value.imag]})
 
 
 def _cmd_gram(args):
@@ -109,17 +115,17 @@ def _cmd_gram(args):
     seq = _load(load_point_sequence, args.points)
     g = gram_matrix(space, seq, _config(args))
     lam = smallest_eigenvalue(g)
-    entries = [[[g.entries[l, j].real, g.entries[l, j].imag] for j in range(g.n)]
-               for l in range(g.n)]
-    payload = {
+    entries = np.stack((g.entries.real, g.entries.imag), axis=-1).tolist()
+    if args.format == "csv":
+        return emit_csv(["row", "col", "re", "im"],
+                        [[l, j, re, im] for l, row in enumerate(entries)
+                         for j, (re, im) in enumerate(row)])
+    return emit_json({
         "space": space_tag(space),
         "n": g.n,
         "smallest_eigenvalue": lam,
         "entries": entries,
-    }
-    rows = [[l, j, g.entries[l, j].real, g.entries[l, j].imag]
-            for l in range(g.n) for j in range(g.n)]
-    return payload, ["row", "col", "re", "im"], rows
+    })
 
 
 def _cmd_diagnose(args):
@@ -130,13 +136,15 @@ def _cmd_diagnose(args):
     payload = report.to_json_dict()
     if space.family != HARDY_HALF_PLANE:
         payload["boas"][space_tag(space)] = boas_bound(space, seq, cfg)
+    if args.format != "csv":
+        return emit_json(payload)
     rows = [["separation", payload["separation"]],
             ["carleson", payload["carleson"]],
             ["blaschke_sum", payload["blaschke_sum"]]]
     for tag, val in payload["boas"].items():
         rows.append([f"boas:{tag}", val])
     rows.append(["verdict_h2", verdict])
-    return payload, ["metric", "value"], rows
+    return emit_csv(["metric", "value"], rows)
 
 
 def _cmd_interpolate(args):
@@ -152,28 +160,29 @@ def _cmd_interpolate(args):
         interp = finite_interpolant(nodes, targets, cfg)
     else:
         interp = min_norm_interpolant(space, nodes, targets, cfg)
-    payload = interp.to_json_dict()
-    rows = []
-    for j, p in enumerate(nodes.points):
-        c = interp.coefficients[j]
-        a = interp.targets[j]
-        rows.append([p.sigma, p.t, a.real, a.imag, c.real, c.imag,
-                     interp.residuals[j]])
-    return payload, ["node_sigma", "node_t", "target_re", "target_im",
-                     "coeff_re", "coeff_im", "residual"], rows
+    if args.format != "csv":
+        return emit_json(interp.to_json_dict())
+    rows = [[p.sigma, p.t, a.real, a.imag, c.real, c.imag, r]
+            for p, a, c, r in zip(nodes.points, interp.targets, interp.coefficients,
+                                  interp.residuals)]
+    return emit_csv(["node_sigma", "node_t", "target_re", "target_im",
+                     "coeff_re", "coeff_im", "residual"], rows)
 
 
 def _cmd_blaschke(args):
     nodes = _load(load_point_sequence, args.nodes)
     product = build_blaschke(nodes)
+    # --eval is read and evaluated in both forms, so a bad point fails in both
+    z = None if args.eval is None else parse_complex_pair(args.eval)
+    val = None if z is None else product.evaluate(z)
+    if args.format == "csv":
+        return emit_csv(["node_sigma", "node_t", "prime"],
+                        [[p.sigma, p.t, q] for p, q in zip(nodes.points, product.primes)])
     payload = product.to_json_dict()
-    if args.eval is not None:
-        z = parse_complex_pair(args.eval)
-        val = product.evaluate(z)
+    if z is not None:
         payload["point"] = [z.real, z.imag]
         payload["value"] = [val.real, val.imag]
-    rows = [[p.sigma, p.t, q] for p, q in zip(nodes.points, product.primes)]
-    return payload, ["node_sigma", "node_t", "prime"], rows
+    return emit_json(payload)
 
 
 def _cmd_asymptotics(args):
@@ -185,22 +194,23 @@ def _cmd_asymptotics(args):
     # one column of the series' outer form, at w = 0
     ks = range(1, min(args.kmax, 16) + 1)
     values = eval_weighted_zeta_outer(params, [1.0 + 10.0 ** (-k) for k in ks], [0j],
-                                      _config(args))[:, 0]
-    out_rows = []
-    csv_rows = []
+                                      _config(args))[:, 0].tolist()
+    rows = []
     for k, value in zip(ks, values):
         eps = 10.0 ** (-k)
-        value = complex(value)
         if args.alpha == 1.0:
             main = math.log(1.0 / eps)
         else:
             main = eval_gamma(1.0 - args.alpha) * eps ** (args.alpha - 1.0)
-        remainder = abs(value - main)
-        out_rows.append({"k": k, "eps": eps, "value": [value.real, value.imag],
-                         "main_term": main, "remainder": remainder})
-        csv_rows.append([args.alpha, k, eps, value.real, main, remainder])
-    payload = {"alpha": args.alpha, "rows": out_rows}
-    return payload, ["alpha", "k", "eps", "value_re", "main_term", "remainder"], csv_rows
+        rows.append((k, eps, value, main, abs(value - main)))
+    if args.format == "csv":
+        return emit_csv(["alpha", "k", "eps", "value_re", "main_term", "remainder"],
+                        [[args.alpha, k, eps, value.real, main, remainder]
+                         for k, eps, value, main, remainder in rows])
+    return emit_json({"alpha": args.alpha, "rows": [
+        {"k": k, "eps": eps, "value": [value.real, value.imag],
+         "main_term": main, "remainder": remainder}
+        for k, eps, value, main, remainder in rows]})
 
 
 def _cmd_embedding(args):
@@ -227,19 +237,20 @@ def _cmd_embedding(args):
         results = line_embedding_ratios(polys, args.theta)
     else:
         results = halfstrip_embedding_ratios(polys, args.theta, args.alpha)
-    rows = [[args.theta, args.alpha, f.degree, r.ratio]
-            for f, r in zip(polys, results)]
+    if args.format == "csv":
+        return emit_csv(["theta", "alpha", "degree", "ratio"],
+                        [[args.theta, args.alpha, f.degree, r.ratio]
+                         for f, r in zip(polys, results)])
     if len(results) == 1:
-        payload = results[0].to_json_dict()
-    else:
-        payload = {
-            "theta": args.theta,
-            "alpha": args.alpha,
-            "count": len(results),
-            "max_ratio": max(r.ratio for r in results),
-            "ratios": [r.ratio for r in results],
-        }
-    return payload, ["theta", "alpha", "degree", "ratio"], rows
+        return emit_json(results[0].to_json_dict())
+    ratios = [r.ratio for r in results]
+    return emit_json({
+        "theta": args.theta,
+        "alpha": args.alpha,
+        "count": len(results),
+        "max_ratio": max(ratios),
+        "ratios": ratios,
+    })
 
 
 def _cmd_probe(args):
@@ -247,16 +258,16 @@ def _cmd_probe(args):
     s = _point(args.s, "--s")
     cfg = _config(args)
     tau = almost_periodicity_probe(space, s, args.t_max, args.target, cfg)
-    payload = {"s": [s.sigma, s.t], "target": args.target, "t_max": args.t_max,
-               "tau": tau, "correlation": None, "distance": None}
+    corr = dist = None
     if tau is not None:
         shifted = HalfPlanePoint(s.sigma, s.t + tau)
         corr = abs(kernel_value(space, shifted, s, cfg))
         corr /= kernel_norm(space, s, cfg) * kernel_norm(space, shifted, cfg)
-        payload["correlation"] = corr
-        payload["distance"] = pseudohyperbolic_distance(s, shifted)
-    rows = [[payload["tau"], payload["correlation"], payload["distance"]]]
-    return payload, ["tau", "correlation", "distance"], rows
+        dist = pseudohyperbolic_distance(s, shifted)
+    if args.format == "csv":
+        return emit_csv(["tau", "correlation", "distance"], [[tau, corr, dist]])
+    return emit_json({"s": [s.sigma, s.t], "target": args.target, "t_max": args.t_max,
+                      "tau": tau, "correlation": corr, "distance": dist})
 
 
 _HANDLERS = {
@@ -287,7 +298,10 @@ def _add_common(sub, space: bool = True) -> None:
                          help="weight exponent for h_alpha / d_alpha")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parse_args leaves it unchanged."""
     parser = _Parser(
         prog="dirichlet-rkhs",
         description="Reproducing-kernel computations for Hilbert spaces of "
@@ -381,8 +395,7 @@ def run(argv) -> int:
         sys.stderr.write(emit_json({"error": "UsageError", "message": str(exc)}))
         return 2
     try:
-        payload, header, rows = _HANDLERS[args.subcommand](args)
-        text = emit_csv(header, rows) if args.format == "csv" else emit_json(payload)
+        text = _HANDLERS[args.subcommand](args)
     except UsageError as exc:
         sys.stderr.write(emit_json({"error": "UsageError", "message": str(exc)}))
         return 2

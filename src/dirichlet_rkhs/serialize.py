@@ -23,9 +23,28 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _is_float_row(obj) -> bool:
+    """A non-empty list or tuple whose items are all Python floats."""
+    return (isinstance(obj, (list, tuple)) and len(obj) > 0
+            and all(type(v) is float for v in obj))
+
+
+def _float_row(row) -> str:
+    """A float row as _emit's flat form "[a, b, ...]", in one join; a
+    non-finite item raises format_float's error for the first of them."""
+    if not all(map(math.isfinite, row)):
+        format_float(next(v for v in row if not math.isfinite(v)))
+    return "[" + ", ".join([format(v, ".17g") for v in row]) + "]"
+
+
 def _emit(obj, parts: list, indent: int) -> None:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if _is_float_row(obj):
+        parts.append(_float_row(obj))
+    elif isinstance(obj, (list, tuple)) and obj and all(map(_is_float_row, obj)):
+        sep = ",\n" + pad + "  "
+        parts.append("[\n" + pad + "  " + sep.join(map(_float_row, obj)) + "\n" + pad + "]")
+    elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return

@@ -4,6 +4,9 @@ back the tail integrals.
 
 All evaluators target an absolute truncation error below the configured
 tolerance; rounding adds at most a few ulp of the result magnitude on top.
+The weighted sums check that: at large negative alpha their parts cancel,
+and they raise ConvergenceError where the rounding of the parts, less that
+of the result, passes the tolerance (see _check_rounding).
 The weighted sums are
 
     sum_{n>=1} n^{-s} * log(n+1)^{-alpha},   alpha <= 1, Re s > 1,
@@ -62,6 +65,9 @@ _BERNOULLI = {
 }
 
 _MAX_SPECIAL_ITER = 500
+
+# unit roundoff of a double
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -585,11 +591,22 @@ def _shift_correction(alpha: float, s: np.ndarray, w, z: np.ndarray, n: int,
 
 def _weighted_regular(alpha: float, s: np.ndarray, w, z: np.ndarray,
                       cfg: EvalConfig):
-    """(value, N) at every z = s_l + conj(w_j) with one N: the sum over
-    n < N, the endpoint corrections and the shift-correction
+    """(value, N, rounding) at every z = s_l + conj(w_j) with one N: the
+    sum over n < N, the endpoint corrections and the shift-correction
     integral.  The rest is the tail integral_N^inf x^-z log(x)^-alpha dx =
     (z-1)^(alpha-1) Gamma(1-alpha, (z-1) log N).  The endpoint corrections
-    are multiples of the outer factor N^-z."""
+    are multiples of the outer factor N^-z.
+
+    rounding bounds the rounding of the sum over n < N at every entry: with
+    S = sum_n log(n+1)^-alpha n^-sigma, sigma the least Re z, which is at
+    least sum_n |log(n+1)^-alpha n^-z| at every entry, _outer_sum adds the
+    terms in dot products of at most _SLICE terms and then adds the slices,
+    which rounds by at most (min(N, _SLICE) + N/_SLICE) u S to first order
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    eq. (4.4), for any order of summation), plus 4 u S for forming the
+    terms.  The rounding of the exponent -z log n, about |z| log n u of
+    each term, is not counted, as for every series of this module.
+    """
     order = min(cfg.em_order, 2)
     n = _shared_length(
         z, 2, lambda zz: _weighted_trunc_bound(alpha, zz, order), cfg,
@@ -597,14 +614,41 @@ def _weighted_regular(alpha: float, s: np.ndarray, w, z: np.ndarray,
         lambda zk: f"weighted tail cannot reach tol={cfg.tol} within "
                    f"max_terms={cfg.max_terms} at alpha={alpha}, s={zk}")
     terms = np.arange(1, n, dtype=np.float64)
-    out = _outer_sum(s, w, np.log(terms), np.log(terms + 1.0) ** (-alpha))
+    log_terms = np.log(terms)
+    weights = np.log(terms + 1.0) ** (-alpha)
+    out = _outer_sum(s, w, log_terms, weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused
+        size = float(np.sum(weights * np.exp(-float(np.min(z.real)) * log_terms)))
+    rounding = (min(n, _SLICE) + n / _SLICE + 4) * _U * size
     power = _outer_sum(s, w, np.array([math.log(n)]), np.ones(1))
     g, g1, g3 = _weight_term_derivs(alpha, z, float(n), power)
     out += 0.5 * g - g1 / 12.0
     if order >= 2:
         out += g3 / 720.0
     out += _shift_correction(alpha, s, w, z, n, cfg.tol / 3.0)
-    return out, n
+    return out, n, rounding
+
+
+def _check_rounding(alpha: float, value, moduli, rounding: float, tol: float) -> None:
+    """ConvergenceError where value, a sum of parts (the regular part, the
+    tail and for a remainder the singular term) whose moduli sum to
+    moduli, is not certain to tol.
+
+    Each part carries a rounding of at least u |part|, so their sum is
+    certain only to rounding + u moduli, of which u |value| is the
+    rounding that any double result carries.  Where the rest passes tol,
+    the parts cancel more than a double can resolve: at large negative
+    alpha the regular part and the tail grow like log(N)^-alpha while
+    their sum stays O(1).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = rounding + _U * (moduli - np.abs(value))
+    if not np.all(excess <= tol):
+        worst = int(np.argmax(np.where(np.isnan(excess), np.inf, excess)))
+        raise ConvergenceError(
+            f"weighted sum at alpha={alpha} cancels beyond tol={tol}: rounding "
+            f"up to {float(np.ravel(excess)[worst]):.3g} on a value of modulus "
+            f"{float(np.ravel(np.abs(value))[worst]):.3g}")
 
 
 def eval_weighted_zeta(p: WeightedZetaParams, s: complex,
@@ -617,14 +661,17 @@ def eval_weighted_zeta(p: WeightedZetaParams, s: complex,
     s = complex(s)
     if s.real <= 1:
         raise DomainError(f"eval_weighted_zeta needs Re s > 1, got {s}")
-    regular, n = _weighted_regular(p.alpha, *_one_point(s), cfg)
+    regular, n, rounding = _weighted_regular(p.alpha, *_one_point(s), cfg)
+    regular = complex(regular[0, 0])
     w = (s - 1) * math.log(n)
     if p.alpha == 1.0:
         tail = _exp_integral_e1(w)
     else:
         a = 1.0 - p.alpha
         tail = (s - 1) ** complex(p.alpha - 1) * eval_upper_gamma(a, w)
-    return complex(regular[0, 0]) + tail
+    value = regular + tail
+    _check_rounding(p.alpha, value, abs(regular) + abs(tail), rounding, cfg.tol)
+    return value
 
 
 def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
@@ -641,7 +688,7 @@ def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
     if z.real <= 1:
         raise DomainError(f"eval_weighted_remainder needs Re z > 1, got {z}")
     alpha = p.alpha
-    regular, n = _weighted_regular(alpha, *_one_point(z), cfg)
+    regular, n, rounding = _weighted_regular(alpha, *_one_point(z), cfg)
     regular = complex(regular[0, 0])
     log_n = math.log(n)
     w = (z - 1) * log_n
@@ -655,14 +702,25 @@ def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
                 series -= term / k
                 if abs(term) < 1e-18:
                     break
-            return regular - EULER_GAMMA - math.log(log_n) + series
-        return regular + _exp_integral_e1(w) + cmath.log(z - 1)
-    a = 1.0 - alpha
-    if abs(w) < a + 1.0:
-        folded = log_n**a * cmath.exp(-w) * _lower_gamma_series(a, w)
-        return regular - folded
-    lead = eval_gamma(a) * (z - 1) ** complex(alpha - 1)
-    return regular + (z - 1) ** complex(alpha - 1) * eval_upper_gamma(a, w) - lead
+            value = regular - EULER_GAMMA - math.log(log_n) + series
+            parts = (regular, EULER_GAMMA, math.log(log_n), series)
+        else:
+            e1, log_z1 = _exp_integral_e1(w), cmath.log(z - 1)
+            value = regular + e1 + log_z1
+            parts = (regular, e1, log_z1)
+    else:
+        a = 1.0 - alpha
+        if abs(w) < a + 1.0:
+            folded = log_n**a * cmath.exp(-w) * _lower_gamma_series(a, w)
+            value = regular - folded
+            parts = (regular, folded)
+        else:
+            lead = eval_gamma(a) * (z - 1) ** complex(alpha - 1)
+            tail = (z - 1) ** complex(alpha - 1) * eval_upper_gamma(a, w)
+            value = regular + tail - lead
+            parts = (regular, tail, lead)
+    _check_rounding(alpha, value, sum(map(abs, parts)), rounding, cfg.tol)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +818,17 @@ def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
 def _weighted_zeta_series(alpha: float, s: np.ndarray, w, z: np.ndarray,
                           cfg: EvalConfig) -> np.ndarray:
     """eval_weighted_zeta at every z = s_l + conj(w_j), with one N and one
-    quadrature grid, and the tail through _upper_gamma_array."""
+    quadrature grid, and the tail through _upper_gamma_array; refused by
+    _check_rounding where the regular part and the tail cancel beyond tol."""
     if z.size == 0:
         return np.zeros(z.shape, dtype=np.complex128)
-    out, n = _weighted_regular(alpha, s, w, z, cfg)
+    out, n, rounding = _weighted_regular(alpha, s, w, z, cfg)
     tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
     if alpha != 1.0:
         tail *= (z - 1) ** (alpha - 1)
-    return out + tail
+    value = out + tail
+    _check_rounding(alpha, value, np.abs(out) + np.abs(tail), rounding, cfg.tol)
+    return value
 
 
 def eval_weighted_zeta_outer(p: WeightedZetaParams, s, w,

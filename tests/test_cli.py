@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,52 @@ def test_golden_byte_identity(name, fixtures_dir, golden_dir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out == (golden_dir / name).read_text()
+
+
+# failing argvs -> (exit code, error name): usage errors and the five
+# invocations that the benchmark's cli_mix workload keeps as known faults
+FAILING_CASES = (
+    (("kernel", "--space", "bad", "--w", "1,0", "--s", "1,0"), 2, "UsageError"),
+    (("kernel", "--space", "h_alpha", "--w", "1,0", "--s", "1,0"), 2, "UsageError"),
+    ((), 2, "UsageError"),
+    (("kernel", "--w", "1,inf", "--s", "1,0"), 2, "UsageError"),
+    (("kernel", "--w", "1,nan", "--s", "1,0"), 2, "UsageError"),
+    (("kernel", "--w", "1,1e300", "--s", "1,0"), 1, "ConvergenceError"),
+    (("kernel", "--space", "h2", "--w", "1,inf", "--s", "1,0"), 2, "UsageError"),
+    (("probe", "--s", "0.75,0", "--target", "nan", "--t-max", "2"), 1, "DomainError"),
+)
+
+
+def test_parser_is_built_once_across_mixed_runs(fixtures_dir, golden_dir, capsys):
+    # one process, one parser: failures, --help and goldens in a shuffled
+    # order, three times each, leave every golden byte-equal and every
+    # failure with its exit code and the same JSON error object
+    cases = ([("golden", name) for name in GOLDEN_CASES]
+             + [("fail", case) for case in FAILING_CASES] + [("help", None)])
+    order = cases * 3
+    random.Random(12).shuffle(order)
+    cli._build_parser.cache_clear()
+    first_err = {}
+    help_text = None
+    for kind, case in order:
+        if kind == "golden":
+            assert run(_argv(GOLDEN_CASES[case], fixtures_dir)) == 0, case
+            out, err = capsys.readouterr()
+            assert out == (golden_dir / case).read_text() and err == "", case
+        elif kind == "fail":
+            argv, code, error = case
+            assert run(list(argv)) == code, argv
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"] == error, argv
+            assert first_err.setdefault(argv, err) == err, argv
+        else:
+            assert run(["--help"]) == 0
+            out, err = capsys.readouterr()
+            assert out.startswith("usage: dirichlet-rkhs") and err == ""
+            help_text = help_text or out
+            assert out == help_text
+    info = cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits == len(order) - 1
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(GOLDEN_CASES)
@@ -278,6 +325,31 @@ def test_ill_conditioned_exit_one(tmp_path, capsys):
               "--targets", str(targets)])
     assert rc == 1
     assert _stderr_error(capsys)["error"] == "IllConditionedError"
+
+
+@pytest.mark.parametrize("alpha", ["-20", "-10"])
+def test_cancelling_weighted_kernel_exits_one(alpha, capsys):
+    # the regular part and the tail of sum n^-(2+10i) log(n+1)^-alpha are
+    # about 2e15 (alpha = -20) and 3e4 (alpha = -10) while the sum is O(1);
+    # unchecked, the CLI printed [0.5, -10.625] for -1.0329 - 1.8115i, and a
+    # value 2.5e-10 off at alpha = -10
+    rc = run(["kernel", "--space", "h_alpha", "--alpha", alpha,
+              "--w", "1,0", "--s", "1,10"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "ConvergenceError"
+
+
+@pytest.mark.parametrize("alpha, w, s", [("0.5", "0.6,25", "0.6,-25"),
+                                         ("-1", "0.6,10", "0.6,-9990")])
+def test_weighted_kernel_at_benchmark_extremes_is_not_refused(alpha, w, s, capsys):
+    # the least Re z and largest heights of the benchmark's h_alpha kernels
+    # (alpha = 0.5 at |t| <= 25, alpha = -1 at heights up to 1e4): the
+    # rounding check stays below tol there
+    rc = run(["kernel", "--space", "h_alpha", "--alpha", alpha, "--w", w, "--s", s])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == "", captured.err
+    assert all(map(math.isfinite, json.loads(captured.out)["value"]))
 
 
 def test_asymptotics_alpha_cap(capsys):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_rkhs.errors import DomainError
 from dirichlet_rkhs.serialize import (dump_point_sequence, emit_csv, emit_json,
@@ -59,6 +61,101 @@ def test_emit_json_numpy_scalars():
 def test_emit_json_rejects_unknown_types():
     with pytest.raises(DomainError):
         emit_json({"x": object()})
+
+
+def _reference_emit(obj, parts: list, indent: int) -> None:
+    """emit_json's renderer with one recursive call per value, floats
+    included: the reference for the one-join rendering of float rows."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        for i, (key, val) in enumerate(obj.items()):
+            parts.append(f"{pad}  {json.dumps(str(key))}: ")
+            _reference_emit(val, parts, indent + 1)
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            parts.append("[")
+            for i, val in enumerate(obj):
+                _reference_emit(val, parts, indent)
+                if i + 1 < len(obj):
+                    parts.append(", ")
+            parts.append("]")
+        else:
+            parts.append("[\n")
+            for i, val in enumerate(obj):
+                parts.append(pad + "  ")
+                _reference_emit(val, parts, indent + 1)
+                parts.append(",\n" if i + 1 < len(obj) else "\n")
+            parts.append(pad + "]")
+    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        parts.append(f"[{format_float(obj.real)}, {format_float(obj.imag)}]")
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    else:
+        raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def _reference_emit_json(obj) -> str:
+    parts: list = []
+    _reference_emit(obj, parts, 0)
+    return "".join(parts) + "\n"
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+_FLOAT_ROW = st.lists(_FLOATS, min_size=1, max_size=6)
+_LEAVES = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(-10**20, 10**20),
+                    st.booleans(), st.none(), st.text(max_size=4),
+                    st.builds(complex, _FLOATS, _FLOATS))
+_PAYLOADS = st.recursive(
+    st.one_of(_LEAVES, _FLOAT_ROW, st.lists(_FLOAT_ROW, min_size=1, max_size=4),
+              st.lists(st.one_of(_FLOATS, _FLOATS.map(np.float64)), max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(_PAYLOADS)
+def test_emit_json_matches_the_recursive_reference(payload):
+    # the one-join float rows render byte for byte as the recursive form:
+    # -0, subnormals, +-max, numpy floats, mixed lists, empty lists, dicts
+    assert emit_json({"payload": payload}) == _reference_emit_json({"payload": payload})
+    assert emit_json(payload) == _reference_emit_json(payload)
+
+
+@given(st.lists(_FLOAT_ROW, min_size=1, max_size=4), st.data())
+def test_non_finite_in_a_float_row_raises_the_same_error(rows, data):
+    # a nan or inf anywhere in a row, or in a row of rows, raises
+    # format_float's DomainError for the first one, as the recursive form does
+    bad = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    r = data.draw(st.integers(0, len(rows) - 1))
+    rows[r].insert(data.draw(st.integers(0, len(rows[r]))), bad)
+    for payload in (rows[r], rows, {"entries": rows}):
+        with pytest.raises(DomainError) as want:
+            _reference_emit_json(payload)
+        with pytest.raises(DomainError) as got:
+            emit_json(payload)
+        assert str(got.value) == str(want.value)
 
 
 def test_emit_csv():

@@ -10,7 +10,7 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirichlet_rkhs.errors import DomainError, PoleError
+from dirichlet_rkhs.errors import ConvergenceError, DomainError, PoleError
 from dirichlet_rkhs.zeta import (_BERNOULLI, EULER_GAMMA, EvalConfig, WeightedZetaParams,
                                  _em_truncation_bound, _shared_length,
                                  _upper_gamma_array, _weighted_trunc_bound,
@@ -183,6 +183,30 @@ def test_weighted_conjugate_symmetry(sigma, t, alpha):
     a = eval_weighted_zeta(p, s.conjugate())
     b = eval_weighted_zeta(p, s).conjugate()
     assert abs(a - b) < 1e-9 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("alpha", [-20.0, -10.0])
+def test_weighted_cancellation_is_refused(alpha):
+    # at 2+10i the regular part and the tail reach 2e15 (alpha = -20) and
+    # 3e4 (alpha = -10) in modulus while their sum is O(1): the rounding
+    # passes tol, and each evaluator says so instead of returning a value
+    p = WeightedZetaParams(alpha)
+    with pytest.raises(ConvergenceError, match="cancels"):
+        eval_weighted_zeta(p, complex(2.0, 10.0))
+    with pytest.raises(ConvergenceError, match="cancels"):
+        eval_weighted_remainder(p, complex(2.0, 10.0))
+    with pytest.raises(ConvergenceError, match="cancels"):
+        eval_weighted_zeta_outer(p, [complex(1.0, 10.0)], [complex(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.5])
+def test_pole_column_is_not_refused(alpha):
+    # the asymptotics column s = 1 + 10^-k: the tail alone is the large part
+    # (2e15 at alpha = -2, k = 5), so nothing cancels and the check passes
+    z = [1.0 + 10.0 ** (-k) for k in range(1, 6)]
+    col = eval_weighted_zeta_outer(WeightedZetaParams(alpha), z, [0j])[:, 0]
+    assert np.all(np.isfinite(col))
+    assert np.all(np.diff(col.real) > 0)
 
 
 def test_weighted_remainder_consistency():
