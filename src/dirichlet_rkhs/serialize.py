@@ -23,78 +23,53 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _is_float_row(obj) -> bool:
-    """A non-empty list or tuple whose items are all Python floats."""
-    return (isinstance(obj, (list, tuple)) and len(obj) > 0
-            and all(type(v) is float for v in obj))
+def _leaf(v) -> str:
+    """A value that is not a dict, list or tuple, as JSON text."""
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if isinstance(v, bool) or isinstance(v, np.bool_):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (complex, np.complexfloating)):
+        return f"[{format_float(v.real)}, {format_float(v.imag)}]"
+    if isinstance(v, str):
+        return json.dumps(v)
+    raise DomainError(f"cannot serialize value of type {type(v).__name__}")
 
 
-def _float_row(row) -> str:
-    """A float row as _emit's flat form "[a, b, ...]", in one join; a
-    non-finite item raises format_float's error for the first of them."""
-    if not all(map(math.isfinite, row)):
-        format_float(next(v for v in row if not math.isfinite(v)))
-    return "[" + ", ".join([format(v, ".17g") for v in row]) + "]"
-
-
-def _emit(obj, parts: list, indent: int) -> None:
-    pad = "  " * indent
-    if _is_float_row(obj):
-        parts.append(_float_row(obj))
-    elif isinstance(obj, (list, tuple)) and obj and all(map(_is_float_row, obj)):
-        sep = ",\n" + pad + "  "
-        parts.append("[\n" + pad + "  " + sep.join(map(_float_row, obj)) + "\n" + pad + "]")
-    elif isinstance(obj, dict):
+def _render(obj, indent: int) -> str:
+    """obj as the text of emit_json at nesting depth indent: dicts and
+    lists that hold a dict or list one item a line, other lists on one
+    line."""
+    if isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            parts.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(val, parts, indent + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
+            return "{}"
+        pad = "  " * indent
+        return "{\n" + ",\n".join([
+            f"{pad}  {json.dumps(str(key))}: {_render(val, indent + 1)}"
+            for key, val in obj.items()]) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            parts.append("[]")
-            return
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            parts.append("[")
-            for i, val in enumerate(obj):
-                _emit(val, parts, indent)
-                if i + 1 < len(obj):
-                    parts.append(", ")
-            parts.append("]")
-        else:
-            parts.append("[\n")
-            for i, val in enumerate(obj):
-                parts.append(pad + "  ")
-                _emit(val, parts, indent + 1)
-                parts.append(",\n" if i + 1 < len(obj) else "\n")
-            parts.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        parts.append(f"[{format_float(obj.real)}, {format_float(obj.imag)}]")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise DomainError(f"cannot serialize value of type {type(obj).__name__}")
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+            # a finite Python float, the bulk of every payload, is
+            # format_float inline; NaN, inf and every other type go
+            # through _leaf
+            return "[" + ", ".join([
+                format(v, ".17g") if type(v) is float and math.isfinite(v) else _leaf(v)
+                for v in obj]) + "]"
+        pad = "  " * indent
+        return "[\n" + pad + "  " + (",\n" + pad + "  ").join([
+            _render(val, indent + 1) for val in obj]) + "\n" + pad + "]"
+    return _leaf(obj)
 
 
 def emit_json(obj) -> str:
     """Render a report dict as stable, human-readable JSON (trailing newline)."""
-    parts: list = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return _render(obj, 0) + "\n"
 
 
 def _csv_cell(v) -> str:

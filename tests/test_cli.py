@@ -352,6 +352,22 @@ def test_weighted_kernel_at_benchmark_extremes_is_not_refused(alpha, w, s, capsy
     assert all(map(math.isfinite, json.loads(captured.out)["value"]))
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "h_alpha", "--alpha", "0.5", "--tol", "1e-15", "--w", "1,0", "--s", "1,0"],
+    ["kernel", "--space", "h_alpha", "--alpha", "-10", "--tol", "1e-15", "--w", "1,0", "--s", "1,0"],
+    ["asymptotics", "--alpha", "-10"],
+    ["asymptotics", "--alpha", "-10", "--tol", "1e-15"],
+])
+def test_weighted_sums_without_cancellation_are_not_refused(argv, capsys):
+    # at real z every term and part is positive, so their rounding is in
+    # proportion to the value: no tol, however small, and no value, however
+    # large (3.6e6 at alpha = -10, 3.6e17 and up on the asymptotics column),
+    # makes it cancellation
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == "", captured.err
+
+
 def test_asymptotics_alpha_cap(capsys):
     assert run(["asymptotics", "--alpha", "2"]) == 2
     capsys.readouterr()

@@ -65,7 +65,7 @@ def test_emit_json_rejects_unknown_types():
 
 def _reference_emit(obj, parts: list, indent: int) -> None:
     """emit_json's renderer with one recursive call per value, floats
-    included: the reference for the one-join rendering of float rows."""
+    included: the reference for its rendering of each list in one join."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -137,7 +137,7 @@ _PAYLOADS = st.recursive(
 @settings(max_examples=200)
 @given(_PAYLOADS)
 def test_emit_json_matches_the_recursive_reference(payload):
-    # the one-join float rows render byte for byte as the recursive form:
+    # the joined lists render byte for byte as the recursive form:
     # -0, subnormals, +-max, numpy floats, mixed lists, empty lists, dicts
     assert emit_json({"payload": payload}) == _reference_emit_json({"payload": payload})
     assert emit_json(payload) == _reference_emit_json(payload)
@@ -145,12 +145,15 @@ def test_emit_json_matches_the_recursive_reference(payload):
 
 @given(st.lists(_FLOAT_ROW, min_size=1, max_size=4), st.data())
 def test_non_finite_in_a_float_row_raises_the_same_error(rows, data):
-    # a nan or inf anywhere in a row, or in a row of rows, raises
-    # format_float's DomainError for the first one, as the recursive form does
+    # a nan or inf anywhere in a row, a row of numpy floats, a row mixed
+    # with other leaves or a row of rows raises format_float's DomainError
+    # for the first one, as the recursive form does
     bad = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
     r = data.draw(st.integers(0, len(rows) - 1))
     rows[r].insert(data.draw(st.integers(0, len(rows[r]))), bad)
-    for payload in (rows[r], rows, {"entries": rows}):
+    mixed = [None, 1, "x"] + rows[r]
+    for payload in (rows[r], [np.float64(v) for v in rows[r]], mixed, rows,
+                    {"entries": rows}):
         with pytest.raises(DomainError) as want:
             _reference_emit_json(payload)
         with pytest.raises(DomainError) as got:

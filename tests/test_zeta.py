@@ -199,10 +199,22 @@ def test_weighted_cancellation_is_refused(alpha):
         eval_weighted_zeta_outer(p, [complex(1.0, 10.0)], [complex(1.0, 0.0)])
 
 
-@pytest.mark.parametrize("alpha", [-2.0, -1.0, -0.5, 0.5])
+def test_weighted_sum_below_the_refusal_boundary():
+    # at 2+10i the error grows from 1.9e-12 at alpha = -8 through 1.2e-11 at
+    # -9 to 2.5e-10 at -10 (refused above); alpha = -8 is returned, within
+    # tol of sum n^-(2+10i) log(n+1)^8 by mpmath at 40 digits (n <= 12
+    # directly, the rest by Hurwitz zeta derivatives at 13 after expanding
+    # log(n+1) = log n + log(1 + 1/n))
+    v = eval_weighted_zeta(WeightedZetaParams(-8.0), complex(2.0, 10.0))
+    assert abs(v - complex(0.3541221564193257, 0.1699526187815845)) < 1e-10
+
+
+@pytest.mark.parametrize("alpha", [-10.0, -2.0, -1.0, -0.5, 0.5])
 def test_pole_column_is_not_refused(alpha):
     # the asymptotics column s = 1 + 10^-k: the tail alone is the large part
-    # (2e15 at alpha = -2, k = 5), so nothing cancels and the check passes
+    # (2e15 at alpha = -2, k = 5), so nothing cancels and the check passes;
+    # at alpha = -10 the sum over n < N reaches 1.2e9 and the value 3.6e17
+    # and up
     z = [1.0 + 10.0 ** (-k) for k in range(1, 6)]
     col = eval_weighted_zeta_outer(WeightedZetaParams(alpha), z, [0j])[:, 0]
     assert np.all(np.isfinite(col))
