@@ -22,8 +22,10 @@ Each series has one evaluator, over every s_l + conj(w_j) of two lists
 of points with one series length N and one quadrature grid (see the
 section "the series over an array of points"); eval_zeta_outer and
 eval_weighted_zeta_outer are its public forms.  A plain list of points
-z_k is the n x 1 form with w = [0].  The scalar entry points are one-point
-calls of it that add their pole or tail term in scalar arithmetic.
+z_k is the n x 1 form with w = [0].  The special function of the tails,
+the incomplete gamma, also has one evaluator over arrays.  The scalar
+entry points are one-point calls of these; the remainders add their
+folded pole or tail term in scalar arithmetic.
 
 The end terms at the series length N (the pole term N^(1-z)/(z-1),
 -N^-z/2, the Bernoulli terms and the weighted endpoint derivatives) are
@@ -325,81 +327,125 @@ def eval_gamma(x: float) -> float:
         raise DomainError(f"gamma({x}) overflows double precision") from None
 
 
-def _lower_gamma_series(a: float, z: complex) -> complex:
-    """sum_{n>=0} z^n / (a (a+1) ... (a+n)); gamma_lower = z^a e^-z * this."""
-    term = 1.0 / a
-    total = term
+def _lower_gamma_series_array(a: float, z: np.ndarray) -> np.ndarray:
+    """sum_{n>=0} z^n / (a (a+1) ... (a+n)) elementwise on a 1-d array, a > 0;
+    the lower incomplete gamma is z^a e^-z times it.  An entry stops at its
+    first term below 1e-18 max(1, |sum|); ConvergenceError if one needs
+    _MAX_SPECIAL_ITER terms."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
+    term = np.full(z.shape, 1.0 / a, dtype=np.complex128)
+    total = term.copy()
     for n_it in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
         term *= z / (a + n_it)
         total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            return total
-    raise ConvergenceError(f"incomplete gamma series stalled at a={a}, z={z}")
+        done = np.abs(term) < 1e-18 * np.maximum(1.0, np.abs(total))
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"incomplete gamma series stalled at a={a}, z={z[0]}")
 
 
-def _upper_gamma_cf(a: float, z: complex) -> complex:
-    """Continued fraction for Gamma(a, z), |z| large-ish; modified Lentz."""
+def _exp_integral_e1_series_array(z: np.ndarray) -> np.ndarray:
+    """E_1(z) = -euler_gamma - log z + sum_{k>=1} (-1)^(k+1) z^k / (k k!)
+    elementwise on a 1-d array, for small |z|.  An entry stops at its first
+    term below 1e-18 max(1, |sum|); ConvergenceError if one needs
+    _MAX_SPECIAL_ITER terms."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
+    total = -EULER_GAMMA - np.log(z)
+    term = np.ones(z.shape, dtype=np.complex128)
+    for k in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
+        term *= -z / k
+        contrib = -term / k
+        total += contrib
+        done = np.abs(contrib) < 1e-18 * np.maximum(1.0, np.abs(total))
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"E1 series stalled at z={z[0]}")
+
+
+def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(a, z) = z^a e^-z / (z+1-a - 1(1-a) / (z+3-a - 2(2-a) / (z+5-a - ...)))
+    elementwise on a 1-d array by modified Lentz, with 1e-300 for a vanishing
+    denominator.  An entry stops at its first step factor delta with
+    |delta - 1| < 1e-16; ConvergenceError if one needs _MAX_SPECIAL_ITER steps."""
     tiny = 1e-300
+    out = np.empty(z.shape, dtype=np.complex128)
+    idx = np.arange(z.size)
     b = z + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
+    c = np.full(z.shape, 1.0 / tiny, dtype=np.complex128)
+    d = 1.0 / np.where(b != 0, b, tiny)
+    h = d.copy()
     for i in range(1, _MAX_SPECIAL_ITER):
+        if idx.size == 0:
+            return out
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return cmath.exp(-z) * z**a * h
-    raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, z={z}")
+        done = np.abs(delta - 1.0) < 1e-16
+        zd = z[done]
+        out[idx[done]] = np.exp(-zd) * zd**a * h[done]
+        keep = ~done
+        idx, z, b, c, d, h = idx[keep], z[keep], b[keep], c[keep], d[keep], h[keep]
+    if idx.size == 0:
+        return out
+    raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, z={z[0]}")
 
 
-def _exp_integral_e1(z: complex) -> complex:
-    """E_1(z) = Gamma(0, z) for Re z > 0."""
-    if abs(z) <= 1.5:
-        # -euler_gamma - log z + sum (-1)^(k+1) z^k / (k k!)
-        total = -EULER_GAMMA - cmath.log(z)
-        term = 1.0 + 0.0j
-        for k in range(1, _MAX_SPECIAL_ITER):
-            term *= -z / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-18 * max(1.0, abs(total)):
-                return total
-        raise ConvergenceError(f"E1 series stalled at z={z}")
-    return _upper_gamma_cf(0.0, z)
+def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
+    """Gamma(a, z) elementwise for a >= 0 and finite z with Re z > 0,
+    unchecked: at a = 0, E_1(z) by its series at |z| <= 1.5; at a > 0,
+    Gamma(a) minus the lower incomplete gamma by its series at |z| < a + 1;
+    the continued fraction elsewhere."""
+    flat = z.ravel()
+    out = np.empty(flat.shape, dtype=np.complex128)
+    if a == 0.0:
+        near = np.abs(flat) <= 1.5
+        out[near] = _exp_integral_e1_series_array(flat[near])
+    else:
+        near = np.abs(flat) < a + 1.0
+        zn = flat[near]
+        out[near] = eval_gamma(a) - zn**a * np.exp(-zn) * _lower_gamma_series_array(a, zn)
+    out[~near] = _upper_gamma_cf_array(a, flat[~near])
+    return out.reshape(z.shape)
 
 
 def eval_upper_gamma(a: float, z: complex) -> complex:
-    """Upper incomplete gamma Gamma(a, z) for Re z > 0 and real a >= 0.
-
-    Power series (through the lower incomplete function) for |z| < a + 1,
-    continued fraction otherwise.
-    """
+    """Upper incomplete gamma Gamma(a, z) for finite z with Re z > 0 and
+    real a >= -_MAX_SPECIAL_ITER: a one-point call of _upper_gamma_array,
+    for a < 0 at a + ceil(-a) and taken down to a by the recurrence
+    Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a."""
     z = complex(z)
-    if z.real <= 0:
-        raise DomainError(f"eval_upper_gamma needs Re z > 0, got {z}")
-    if a < 0:
-        # Recurse upward: Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a.
-        shift = math.ceil(-a)
-        val = eval_upper_gamma(a + shift, z)
+    if not (math.isfinite(a) and a >= -_MAX_SPECIAL_ITER and cmath.isfinite(z) and z.real > 0):
+        raise DomainError(f"eval_upper_gamma needs finite a >= -{_MAX_SPECIAL_ITER} and "
+                          f"finite z with Re z > 0, got a={a}, z={z}")
+    shift = max(0, math.ceil(-a))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused
+            val = complex(_upper_gamma_array(a + shift, np.array([z]))[0])
         for j in range(shift - 1, -1, -1):
-            aj = a + j
-            val = (val - z**aj * cmath.exp(-z)) / aj
-        return val
-    if a == 0.0:
-        return _exp_integral_e1(z)
-    if abs(z) < a + 1.0:
-        lower = z**a * cmath.exp(-z) * _lower_gamma_series(a, z)
-        return eval_gamma(a) - lower
-    return _upper_gamma_cf(a, z)
+            val = (val - z**(a + j) * cmath.exp(-z)) / (a + j)
+        if cmath.isfinite(val):
+            return val
+    except OverflowError:  # z^(a+j) past the double range
+        pass
+    raise DomainError(f"eval_upper_gamma overflows double precision at a={a}, z={z}")
 
 
 # ---------------------------------------------------------------------------
@@ -668,27 +714,36 @@ def _check_rounding(alpha: float, value, moduli, n: int, size: float,
             f"{float(np.ravel(modulus)[worst]):.3g}")
 
 
+def _weighted_zeta_series(alpha: float, s: np.ndarray, w, z: np.ndarray,
+                          cfg: EvalConfig) -> np.ndarray:
+    """sum_{n>=1} n^-z log(n+1)^-alpha at every z = s_l + conj(w_j), with
+    one N and one quadrature grid: _weighted_regular plus the tail
+    (z-1)^(alpha-1) Gamma(1-alpha, (z-1) log N) through _upper_gamma_array
+    (E_1((z-1) log N) at alpha = 1); refused by _check_rounding where the
+    regular part and the tail cancel beyond tol."""
+    if z.size == 0:
+        return np.zeros(z.shape, dtype=np.complex128)
+    out, n, size = _weighted_regular(alpha, s, w, z, cfg)
+    tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
+    if alpha != 1.0:
+        tail *= (z - 1) ** (alpha - 1)
+    value = out + tail
+    _check_rounding(alpha, value, np.abs(out) + np.abs(tail), n, size, cfg.tol)
+    return value
+
+
 def eval_weighted_zeta(p: WeightedZetaParams, s: complex,
                        cfg: EvalConfig = _DEFAULT_CFG) -> complex:
     """sum_{n>=1} n^-s log(n+1)^-alpha for Re s > 1.
 
     Truncated sum plus Euler-Maclaurin endpoint corrections plus a tail
-    integral in closed form through the upper incomplete gamma function.
+    integral in closed form through the upper incomplete gamma function:
+    the one-point call of _weighted_zeta_series.
     """
     s = complex(s)
     if s.real <= 1:
         raise DomainError(f"eval_weighted_zeta needs Re s > 1, got {s}")
-    regular, n, size = _weighted_regular(p.alpha, *_one_point(s), cfg)
-    regular = complex(regular[0, 0])
-    w = (s - 1) * math.log(n)
-    if p.alpha == 1.0:
-        tail = _exp_integral_e1(w)
-    else:
-        a = 1.0 - p.alpha
-        tail = (s - 1) ** complex(p.alpha - 1) * eval_upper_gamma(a, w)
-    value = regular + tail
-    _check_rounding(p.alpha, value, abs(regular) + abs(tail), n, size, cfg.tol)
-    return value
+    return complex(_weighted_zeta_series(p.alpha, *_one_point(s), cfg)[0, 0])
 
 
 def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
@@ -722,13 +777,14 @@ def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
             value = regular - EULER_GAMMA - math.log(log_n) + series
             parts = (regular, EULER_GAMMA, math.log(log_n), series)
         else:
-            e1, log_z1 = _exp_integral_e1(w), cmath.log(z - 1)
+            e1, log_z1 = eval_upper_gamma(0.0, w), cmath.log(z - 1)
             value = regular + e1 + log_z1
             parts = (regular, e1, log_z1)
     else:
         a = 1.0 - alpha
         if abs(w) < a + 1.0:
-            folded = log_n**a * cmath.exp(-w) * _lower_gamma_series(a, w)
+            series = complex(_lower_gamma_series_array(a, np.array([w]))[0])
+            folded = log_n**a * cmath.exp(-w) * series
             value = regular - folded
             parts = (regular, folded)
         else:
@@ -740,122 +796,14 @@ def eval_weighted_remainder(p: WeightedZetaParams, z: complex,
     return value
 
 
-# ---------------------------------------------------------------------------
-# incomplete gamma over arrays, for the tails of the series over arrays
-# ---------------------------------------------------------------------------
-
-def _lower_gamma_series_array(a: float, z: np.ndarray) -> np.ndarray:
-    """_lower_gamma_series elementwise on a 1-d array."""
-    out = np.empty(z.shape, dtype=np.complex128)
-    idx = np.arange(z.size)
-    term = np.full(z.shape, 1.0 / a, dtype=np.complex128)
-    total = term.copy()
-    for n_it in range(1, _MAX_SPECIAL_ITER):
-        if idx.size == 0:
-            return out
-        term *= z / (a + n_it)
-        total += term
-        done = np.abs(term) < 1e-18 * np.maximum(1.0, np.abs(total))
-        out[idx[done]] = total[done]
-        keep = ~done
-        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
-    if idx.size == 0:
-        return out
-    raise ConvergenceError(f"incomplete gamma series stalled at a={a}, z={z[0]}")
-
-
-def _exp_integral_e1_series_array(z: np.ndarray) -> np.ndarray:
-    """The |z| <= 1.5 series of _exp_integral_e1 elementwise on a 1-d array."""
-    out = np.empty(z.shape, dtype=np.complex128)
-    idx = np.arange(z.size)
-    total = -EULER_GAMMA - np.log(z)
-    term = np.ones(z.shape, dtype=np.complex128)
-    for k in range(1, _MAX_SPECIAL_ITER):
-        if idx.size == 0:
-            return out
-        term *= -z / k
-        contrib = -term / k
-        total += contrib
-        done = np.abs(contrib) < 1e-18 * np.maximum(1.0, np.abs(total))
-        out[idx[done]] = total[done]
-        keep = ~done
-        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
-    if idx.size == 0:
-        return out
-    raise ConvergenceError(f"E1 series stalled at z={z[0]}")
-
-
-def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
-    """_upper_gamma_cf (modified Lentz) elementwise on a 1-d array."""
-    tiny = 1e-300
-    out = np.empty(z.shape, dtype=np.complex128)
-    idx = np.arange(z.size)
-    b = z + 1.0 - a
-    c = np.full(z.shape, 1.0 / tiny, dtype=np.complex128)
-    d = 1.0 / np.where(b != 0, b, tiny)
-    h = d.copy()
-    for i in range(1, _MAX_SPECIAL_ITER):
-        if idx.size == 0:
-            return out
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < 1e-16
-        zd = z[done]
-        out[idx[done]] = np.exp(-zd) * zd**a * h[done]
-        keep = ~done
-        idx, z, b, c, d, h = idx[keep], z[keep], b[keep], c[keep], d[keep], h[keep]
-    if idx.size == 0:
-        return out
-    raise ConvergenceError(f"incomplete gamma continued fraction stalled at a={a}, z={z[0]}")
-
-
-def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
-    """eval_upper_gamma(a, z) elementwise for a >= 0 and Re z > 0, with the
-    scalar code's branches, stopping tests and iteration cap."""
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    if a == 0.0:
-        near = np.abs(flat) <= 1.5
-        out[near] = _exp_integral_e1_series_array(flat[near])
-    else:
-        near = np.abs(flat) < a + 1.0
-        zn = flat[near]
-        out[near] = eval_gamma(a) - zn**a * np.exp(-zn) * _lower_gamma_series_array(a, zn)
-    out[~near] = _upper_gamma_cf_array(a, flat[~near])
-    return out.reshape(z.shape)
-
-
-def _weighted_zeta_series(alpha: float, s: np.ndarray, w, z: np.ndarray,
-                          cfg: EvalConfig) -> np.ndarray:
-    """eval_weighted_zeta at every z = s_l + conj(w_j), with one N and one
-    quadrature grid, and the tail through _upper_gamma_array; refused by
-    _check_rounding where the regular part and the tail cancel beyond tol."""
-    if z.size == 0:
-        return np.zeros(z.shape, dtype=np.complex128)
-    out, n, size = _weighted_regular(alpha, s, w, z, cfg)
-    tail = _upper_gamma_array(1.0 - alpha, (z - 1) * math.log(n))
-    if alpha != 1.0:
-        tail *= (z - 1) ** (alpha - 1)
-    value = out + tail
-    _check_rounding(alpha, value, np.abs(out) + np.abs(tail), n, size, cfg.tol)
-    return value
-
-
 def eval_weighted_zeta_outer(p: WeightedZetaParams, s, w,
                              cfg: EvalConfig = _DEFAULT_CFG) -> np.ndarray:
     """Z[l, j] = eval_weighted_zeta(p, s_l + conj(w_j)) for Re > 1.
 
-    The same pieces as the scalar evaluator (truncated sum, endpoint
-    corrections, shift-correction integral, incomplete-gamma tail) with
-    one N and one quadrature grid for the whole matrix; each entry is
-    within cfg.tol of eval_weighted_zeta at the same point.
+    _weighted_zeta_series (truncated sum, endpoint corrections,
+    shift-correction integral, incomplete-gamma tail) with one N and one
+    quadrature grid for the whole matrix; each entry is within cfg.tol of
+    eval_weighted_zeta, its one-point call, at the same point.
     """
     return _weighted_zeta_series(
         p.alpha, *_series_points(s, w, "eval_weighted_zeta_outer"), cfg)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,10 @@ from dirichlet_rkhs.zeta import (_BERNOULLI, EULER_GAMMA, EvalConfig, WeightedZe
                                  eval_zeta_outer, eval_zeta_remainder)
 
 CFG = EvalConfig()
+
+
+def _bits(v) -> bytes:
+    return np.complex128(v).tobytes()
 
 
 def direct_zeta(s: complex, n: int = 1_000_000) -> complex:
@@ -370,17 +375,57 @@ def test_point_list_and_matrix_match_one_point_calls(alpha):
     assert np.max(np.abs(points - one)) <= 2.0 * CFG.tol
     assert np.max(np.abs(matrix.ravel() - one)) <= 2.0 * CFG.tol
     assert empty.shape == (0,) and empty_rows.shape == (0, len(w))
+    # the scalar entry points are one-point calls, bit for bit: the series
+    # and the incomplete gamma (a = 1 - alpha, the order of the weighted
+    # tail), each at points near 1 resp. 0 and far, so both tail branches run
+    a = 1.0 if alpha is None else 1.0 - alpha
+    for zk in (1.1 + 0.1j, 2.0 + 5.0j, 4.43 + 110.7j):
+        if alpha is None:
+            single, outer = eval_zeta(zk), eval_zeta_outer([zk], [0j])[0, 0]
+        else:
+            single, outer = eval_weighted_zeta(p, zk), eval_weighted_zeta_outer(p, [zk], [0j])[0, 0]
+        assert _bits(single) == _bits(outer), zk
+    for zk in (0.3 + 0.2j, 1.1 + 0.1j, 2.0 + 5.0j, 4.43 + 110.7j):
+        assert _bits(eval_upper_gamma(a, zk)) == _bits(_upper_gamma_array(a, np.array([zk]))[0]), zk
 
 
 @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0])
-def test_upper_gamma_array_matches_scalar(a):
+def test_upper_gamma_array_matches_mpmath(a):
     # both branches of each case: the series near 0 and the continued fraction
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(int(10 * a))
     z = (10.0 ** rng.uniform(-3, 3, 300)) * np.exp(1j * rng.uniform(-1.5, 1.5, 300))
     got = _upper_gamma_array(a, z.reshape(20, 15)).ravel()
-    for zk, g in zip(z, got):
-        want = eval_upper_gamma(a, complex(zk))
-        assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), zk
+    with mpmath.workdps(30):
+        for zk, g in zip(z, got):
+            want = complex(mpmath.gammainc(a, mpmath.mpc(zk.real, zk.imag)))
+            assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), zk
+
+
+@pytest.mark.parametrize("a, z", [(-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                  (-1e9, 1.0), (-500.5, 2.0), (0.5, complex(math.inf, 0.0)),
+                                  (0.5, complex(1.0, math.nan)), (0.5, -1.0)])
+def test_upper_gamma_rejects_bad_input_before_work(a, z, monkeypatch):
+    # non-finite input, more recurrence steps than the cap, or Re z <= 0
+    # raise DomainError at once: no evaluation, no numpy warning
+    from dirichlet_rkhs import zeta
+
+    def evaluated(*args):
+        raise AssertionError("evaluated")
+    monkeypatch.setattr(zeta, "_upper_gamma_array", evaluated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            eval_upper_gamma(a, z)
+
+
+@pytest.mark.parametrize("a, z", [(-400.5, 0.01), (170.0, 200.0), (2.0, 1e200)])
+def test_upper_gamma_overflow_is_a_domain_error(a, z):
+    # z^a past the double range in the recurrence or the continued fraction
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            eval_upper_gamma(a, z)
 
 
 @pytest.mark.parametrize("alpha", [0.5, -1.0, 1.0])
