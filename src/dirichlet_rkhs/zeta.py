@@ -377,8 +377,10 @@ def _exp_integral_e1_series_array(z: np.ndarray) -> np.ndarray:
 def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
     """Gamma(a, z) = z^a e^-z / (z+1-a - 1(1-a) / (z+3-a - 2(2-a) / (z+5-a - ...)))
     elementwise on a 1-d array by modified Lentz, with 1e-300 for a vanishing
-    denominator.  An entry stops at its first step factor delta with
-    |delta - 1| < 1e-16; ConvergenceError if one needs _MAX_SPECIAL_ITER steps."""
+    denominator and z^a e^-z formed as exp(a log z - z), so that it is finite
+    wherever the product is.  An entry stops at its first step factor delta
+    with |delta - 1| < 1e-16; ConvergenceError if one needs _MAX_SPECIAL_ITER
+    steps."""
     tiny = 1e-300
     out = np.empty(z.shape, dtype=np.complex128)
     idx = np.arange(z.size)
@@ -400,7 +402,7 @@ def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
         h *= delta
         done = np.abs(delta - 1.0) < 1e-16
         zd = z[done]
-        out[idx[done]] = np.exp(-zd) * zd**a * h[done]
+        out[idx[done]] = np.exp(a * np.log(zd) - zd) * h[done]
         keep = ~done
         idx, z, b, c, d, h = idx[keep], z[keep], b[keep], c[keep], d[keep], h[keep]
     if idx.size == 0:
@@ -411,8 +413,9 @@ def _upper_gamma_cf_array(a: float, z: np.ndarray) -> np.ndarray:
 def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
     """Gamma(a, z) elementwise for a >= 0 and finite z with Re z > 0,
     unchecked: at a = 0, E_1(z) by its series at |z| <= 1.5; at a > 0,
-    Gamma(a) minus the lower incomplete gamma by its series at |z| < a + 1;
-    the continued fraction elsewhere."""
+    Gamma(a) minus the lower incomplete gamma by its series at |z| < a + 1,
+    its prefactor z^a e^-z formed as exp(a log z - z); the continued
+    fraction elsewhere."""
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=np.complex128)
     if a == 0.0:
@@ -421,7 +424,8 @@ def _upper_gamma_array(a: float, z: np.ndarray) -> np.ndarray:
     else:
         near = np.abs(flat) < a + 1.0
         zn = flat[near]
-        out[near] = eval_gamma(a) - zn**a * np.exp(-zn) * _lower_gamma_series_array(a, zn)
+        lower = np.exp(a * np.log(zn) - zn) * _lower_gamma_series_array(a, zn)
+        out[near] = eval_gamma(a) - lower
     out[~near] = _upper_gamma_cf_array(a, flat[~near])
     return out.reshape(z.shape)
 
@@ -430,7 +434,8 @@ def eval_upper_gamma(a: float, z: complex) -> complex:
     """Upper incomplete gamma Gamma(a, z) for finite z with Re z > 0 and
     real a >= -_MAX_SPECIAL_ITER: a one-point call of _upper_gamma_array,
     for a < 0 at a + ceil(-a) and taken down to a by the recurrence
-    Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a."""
+    Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z) / a, with z^a e^-z formed as
+    exp(a log z - z)."""
     z = complex(z)
     if not (math.isfinite(a) and a >= -_MAX_SPECIAL_ITER and cmath.isfinite(z) and z.real > 0):
         raise DomainError(f"eval_upper_gamma needs finite a >= -{_MAX_SPECIAL_ITER} and "
@@ -440,10 +445,10 @@ def eval_upper_gamma(a: float, z: complex) -> complex:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: refused
             val = complex(_upper_gamma_array(a + shift, np.array([z]))[0])
         for j in range(shift - 1, -1, -1):
-            val = (val - z**(a + j) * cmath.exp(-z)) / (a + j)
+            val = (val - cmath.exp((a + j) * cmath.log(z) - z)) / (a + j)
         if cmath.isfinite(val):
             return val
-    except OverflowError:  # z^(a+j) past the double range
+    except OverflowError:  # z^(a+j) e^-z past the double range
         pass
     raise DomainError(f"eval_upper_gamma overflows double precision at a={a}, z={z}")
 

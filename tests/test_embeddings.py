@@ -1,6 +1,7 @@
 """Local embedding ratios: closed forms against quadrature oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,50 @@ def test_single_term_line_ratio_exact(n, theta):
     r = line_embedding_ratio(_single_term(n), theta)
     assert r.ratio == 1.0 / n
     assert r.quadrature_error < 1e-12
+
+
+def test_single_term_line_ratio_exact_every_n():
+    # the diagonal is division-exact and the rule's off-diagonal part of one
+    # term is exactly 0, at every length up to 1000
+    for n in range(1, 1001):
+        for theta in (0.0, 3.7):
+            r = line_embedding_ratio(_single_term(n), theta)
+            assert r.ratio == 1.0 / n, (n, theta)
+            assert r.quadrature_error < 1e-12, (n, theta)
+
+
+def _pair_rows(n: np.ndarray, rows: slice, theta: float) -> np.ndarray:
+    """Rows of the closed-form pair table M[m, n] = (mn)^-1/2 window(log n - log m)."""
+    lam = np.log(n)[np.newaxis, :] - np.log(n[rows])[:, np.newaxis]
+    safe = np.where(lam == 0.0, 1.0, lam)
+    win = np.exp(1j * theta * lam) * (np.sin(safe) + 2j * np.sin(0.5 * safe) ** 2) / safe
+    win = np.where(lam == 0.0, 1.0 + 0.0j, win)
+    return win / np.sqrt(np.outer(n[rows], n))
+
+
+def _pair_forms(a: np.ndarray, theta: float) -> np.ndarray:
+    """Mean square of each row of a over [theta, theta+1] by the pair table,
+    250 rows at a time."""
+    n = np.arange(1, a.shape[1] + 1, dtype=np.float64)
+    v = np.conj(a).T
+    total = np.zeros(a.shape[0], dtype=np.complex128)
+    for i in range(0, n.size, 250):
+        rows = slice(i, i + 250)
+        total += np.einsum("nk,nk->k", np.conj(v[rows]), _pair_rows(n, rows, theta) @ v)
+    return total.real
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 50, 400, 2000])
+def test_line_ratios_against_pair_table(degree):
+    # the Gauss-Legendre form against the closed-form pair table it replaced:
+    # every difference lies within the ratio's own quadrature_error
+    corpus = random_polynomial_corpus(4, degree, 100 + degree)
+    a = np.array([f.coeffs for f in corpus])
+    norms2 = np.sum(np.abs(a) ** 2, axis=1)
+    for theta in (0.0, 1.0, 10.0, 100.0):
+        want = _pair_forms(a, theta) / norms2
+        for r, w in zip(line_embedding_ratios(corpus, theta), want):
+            assert abs(r.ratio - w) <= r.quadrature_error, (theta, r, w)
 
 
 def test_single_term_phase_invariance():
@@ -116,6 +161,8 @@ def test_non_finite_theta_is_domain_error(theta):
     f = DirichletPolynomial((0.0, 1.0, 0.5))
     with pytest.raises(DomainError, match="theta"):
         line_embedding_ratio(f, theta)
+    with pytest.raises(DomainError, match="theta"):
+        line_embedding_sharp_constant(3, theta)
     for alpha in (-1.0, 0.5):
         with pytest.raises(DomainError, match="theta"):
             halfstrip_embedding_ratio(f, theta, alpha)
@@ -137,10 +184,20 @@ def test_size_caps():
 @pytest.mark.parametrize("theta", [0.0, 100.0])
 @pytest.mark.parametrize("degree, count", [(1, 3), (40, 6), (600, 3)])
 def test_line_batch_matches_single_bitwise(degree, count, theta):
-    # degree 600 crosses the 512-row block boundary of the pair table
     corpus = random_polynomial_corpus(count, degree, degree)
     assert line_embedding_ratios(corpus, theta) == [
         line_embedding_ratio(f, theta) for f in corpus]
+
+
+@pytest.mark.parametrize("count", [1, 2, 96])
+@pytest.mark.parametrize("degree", [50, 400, 2000])
+def test_line_batch_matches_single_bitwise_by_count(degree, count):
+    # 96 rows are one slice of the reduction at degree 50, and 7 and 48
+    # slices at degrees 400 and 2000
+    corpus = random_polynomial_corpus(count, degree, count + degree)
+    for theta in (0.0, 10.0):
+        assert line_embedding_ratios(corpus, theta) == [
+            line_embedding_ratio(f, theta) for f in corpus]
 
 
 @pytest.mark.parametrize("degree, alpha", [(1, 0.5), (2, -0.5), (2, 0.5),
@@ -196,6 +253,30 @@ def test_sharp_constant_large_degree():
     top = line_embedding_sharp_constant(1000, 0.0)
     assert abs(line_embedding_sharp_constant(1000, 100.0) - top) <= 1e-12 * top
     assert line_embedding_sharp_constant(100) <= line_embedding_sharp_constant(500) <= top
+
+
+def _dense_sharp_constant(degree: int) -> float:
+    n = np.arange(1, degree + 1, dtype=np.float64)
+    return float(np.linalg.eigvalsh(_pair_rows(n, slice(None), 0.0))[-1])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 50, 100, 1000])
+def test_sharp_constant_matches_dense_pair_matrix(degree):
+    # the Q x Q form against eigvalsh of the dense degree x degree pair matrix,
+    # and exactly the same value at every window
+    value = line_embedding_sharp_constant(degree)
+    want = _dense_sharp_constant(degree)
+    assert abs(value - want) <= 1e-12 * want
+    for theta in (1.0, 10.0, 100.0):
+        assert line_embedding_sharp_constant(degree, theta) == value
+
+
+def test_sharp_constant_at_the_degree_cap():
+    t0 = time.perf_counter()
+    top = line_embedding_sharp_constant(LINE_DEGREE_CAP, 10.0)
+    assert time.perf_counter() - t0 < 1.0
+    # Cauchy interlacing: the degree-1000 matrix is a principal submatrix
+    assert top >= line_embedding_sharp_constant(1000)
 
 
 def test_sharp_constant_dominates_samples():

@@ -419,9 +419,24 @@ def test_upper_gamma_rejects_bad_input_before_work(a, z, monkeypatch):
             eval_upper_gamma(a, z)
 
 
-@pytest.mark.parametrize("a, z", [(-400.5, 0.01), (170.0, 200.0), (2.0, 1e200)])
+@pytest.mark.parametrize("a, z", [(170.0, 200.0), (170.0, 150.0)])
+def test_upper_gamma_past_power_overflow_matches_mpmath(a, z):
+    # z^a alone overflows on both branches, the continued fraction at 200 and
+    # the lower series at 150, though z^a e^-z and the value are doubles
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_upper_gamma(a, z)
+    with mpmath.workdps(30):
+        want = complex(mpmath.gammainc(a, z))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("a, z", [(-400.5, 0.01), (150.0, complex(0.01, 1000.0)),
+                                  (200.0, 150.0)])
 def test_upper_gamma_overflow_is_a_domain_error(a, z):
-    # z^a past the double range in the recurrence or the continued fraction
+    # the value itself is past the double range: z^a e^-z in the recurrence
+    # or the continued fraction, or Gamma(a) on the series branch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows"):
